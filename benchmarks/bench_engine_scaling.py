@@ -1,12 +1,11 @@
-"""Engine scaling — events/sec of the three engines on identical timelines.
+"""Engine scaling — events/sec of the engine and the reference on identical timelines.
 
 Not a paper figure: this is the perf-regression harness for the simulator
 hot path.  Every cell simulates the same congested scenario with the
-batched numpy engine, the event-heap engine and the preserved seed engine
-over the same horizon, reports events/sec, and asserts that all three
-traverse the identical timeline.  The suite payload is written to
-``BENCH_engine.json`` (override with ``REPRO_BENCH_OUT``) so successive
-PRs can diff the trajectory.
+columnar engine and the preserved seed (reference) engine over the same
+horizon, reports events/sec, and asserts that both traverse the identical
+timeline.  The suite payload is written to ``BENCH_engine.json`` (override
+with ``REPRO_BENCH_OUT``) so successive PRs can diff the trajectory.
 
 ``REPRO_BENCH_SCALE`` multiplies the per-cell event budget; scale 1 keeps
 the whole suite around a minute on a laptop.
@@ -37,39 +36,31 @@ def test_engine_scaling_suite(benchmark, scale):
     )
 
     print()
-    print("Engine scaling — events/sec (batched vs heap vs seed engine):")
+    print("Engine scaling — events/sec (engine vs seed engine):")
     for cell in payload["cells"]:
         print(
             f"  {cell['n_apps']:4d} apps x {cell['n_instances']:3d} inst: "
-            f"batched {cell['batched']['events_per_sec']:8.0f} ev/s, "
-            f"heap {cell['engine']['events_per_sec']:8.0f} ev/s, "
+            f"engine {cell['batched']['events_per_sec']:8.0f} ev/s, "
             f"seed {cell['reference']['events_per_sec']:8.0f} ev/s "
-            f"-> {cell['batched_speedup_vs_heap']:.2f}x over heap"
+            f"-> {cell['batched_speedup']:.2f}x"
         )
     print(f"  payload written to {out}")
 
-    # All engines must walk the identical timeline in every cell, or the
+    # Both engines must walk the identical timeline in every cell, or the
     # events/sec ratios compare different simulations.
     assert all(cell["identical"] for cell in payload["cells"])
-    # The headline claims on the 500-app x 100-instance cell: the heap
-    # engine keeps its >= 3x over the seed engine, and the batched engine
-    # adds >= 5x over the heap engine.
+    # The headline claim on the 500-app x 100-instance cell: the engine
+    # keeps its >= 15x over the seed engine.
     headline = next(
         c for c in payload["cells"] if (c["n_apps"], c["n_instances"]) == (500, 100)
     )
-    assert headline["speedup"] >= 3.0, f"headline speedup {headline['speedup']:.2f}x"
-    assert headline["batched_speedup_vs_heap"] >= 5.0, (
-        f"headline batched speedup {headline['batched_speedup_vs_heap']:.2f}x over heap"
+    assert headline["batched_speedup"] >= 15.0, (
+        f"headline speedup {headline['batched_speedup']:.2f}x"
     )
     # No pessimization — but only judge cells that ran long enough for the
     # wall clock to mean something (millisecond cells are scheduler noise).
     assert all(
-        cell["speedup"] >= 1.0
+        cell["batched_speedup"] >= 1.0
         for cell in payload["cells"]
         if cell["reference"]["seconds"] >= 1.0
-    )
-    assert all(
-        cell["batched_speedup_vs_heap"] >= 1.0
-        for cell in payload["cells"]
-        if cell["engine"]["seconds"] >= 1.0
     )

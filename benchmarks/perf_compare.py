@@ -13,8 +13,8 @@ feeds both payloads here.  The gate fails (exit 1) when:
 
 Ratios, not raw events/sec: the committed baseline and the CI runner are
 different machines, so absolute throughput is not comparable across them —
-but the batched-vs-heap and heap-vs-reference ratios are measured within a
-single run on one machine and transfer cleanly.  Pass ``--raw`` to gate on
+but the engine-vs-reference ratio is measured within a single run on one
+machine and transfers cleanly.  Pass ``--raw`` to gate on
 absolute events/sec instead when both payloads come from the same machine
 (e.g. a local before/after check).
 
@@ -34,15 +34,15 @@ import json
 import sys
 
 #: (payload key, human label) of every ratio the gate watches.  Keys missing
-#: from the *baseline* are skipped (older baselines predate the batched
-#: engine); keys missing from the *current* payload fail loudly.
+#: from the *baseline* are skipped (a baseline may predate a metric); keys
+#: missing from the *current* payload fail loudly.  ``batched`` is the
+#: payload's historical name for the columnar engine.
 RATIO_METRICS = (
-    ("batched_speedup_vs_heap", "batched vs heap"),
-    ("speedup", "heap vs reference"),
+    ("batched_speedup", "engine vs reference"),
 )
 
 #: Engine sub-payloads gated under ``--raw`` (same-machine comparisons).
-RAW_ENGINES = ("batched", "engine", "reference")
+RAW_ENGINES = ("batched", "reference")
 
 
 def load_cells(path: str) -> dict[tuple[int, int], dict]:
@@ -56,7 +56,7 @@ def load_cells(path: str) -> dict[tuple[int, int], dict]:
 
 def check_identical(cells: dict[tuple[int, int], dict]) -> list[str]:
     return [
-        f"{n_apps}x{n_instances}: identical=false — an engine diverged "
+        f"{n_apps}x{n_instances}: identical=false — the engine diverged "
         "from the reference timeline"
         for (n_apps, n_instances), cell in sorted(cells.items())
         if not cell.get("identical", False)

@@ -10,7 +10,7 @@ any pytest machinery and writes both machine-readable payloads:
     PYTHONPATH=src python benchmarks/run_bench.py --scale 4 --out perf/BENCH_engine.json
 
 Exit status is non-zero when any ``identical`` flag goes false — the
-optimized engine disagreeing with the reference timeline, a pooled spec run
+engine disagreeing with the reference timeline, a pooled spec run
 disagreeing with the serial one, or a warm-started period sweep disagreeing
 with the naive sweep.  All are correctness regressions, not just slow runs,
 so a CI job fails loudly on the thing that matters most.
@@ -47,13 +47,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scheduler",
         default="MaxSysEff",
-        help="scheduler driven through both engines (default: %(default)s)",
+        help="scheduler driven through the engine and the reference (default: %(default)s)",
     )
     parser.add_argument(
         "--no-reference",
         action="store_true",
         help=(
-            "time only the optimized engine — no speedups; combine with "
+            "time only the engine — no speedups; combine with "
             "--engine-only for a fast smoke run"
         ),
     )

@@ -111,7 +111,6 @@ def sensitivity_study(
     workers: int | None = None,
     progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
-    engine: Optional[str] = None,
 ) -> SensitivityStudy:
     """Run the Figure 7 sweep.
 
@@ -135,9 +134,6 @@ def sensitivity_study(
         reusing one pool instead of spawning one per level is the difference
         between paying process start-up once and paying it ``n_levels``
         times.
-    engine:
-        Simulation kernel per cell (``"heap"`` or ``"batched"``; ``None``
-        uses the default engine) — bit-identical either way.
     """
     platform = platform or intrepid()
     cases = [SchedulerCase(name=name) for name in schedulers]
@@ -174,7 +170,7 @@ def sensitivity_study(
                 )
             )
         grid = run_grid(scenarios, cases, max_time=max_time, workers=workers,
-                        executor=executor, engine=engine)
+                        executor=executor)
         averages = grid.averages()
         points.append(
             SensitivityPoint(

@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.platform import Platform, intrepid
-from repro.experiments.runner import ExperimentExecutor, engine_runner, map_parallel
+from repro.experiments.runner import ExperimentExecutor, map_parallel
 from repro.online.baselines import FairShare
-from repro.simulator.engine import SimulatorConfig
+from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.interference import InterferenceModel
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import ValidationError
@@ -100,7 +100,7 @@ def _run_figure1_batch(shared: tuple, batch: tuple[int, np.random.Generator]) ->
     loop would have made.
     """
     (platform, n_small, n_large, io_ratio, release_spread, interference,
-     max_time, engine) = shared
+     max_time) = shared
     index, batch_rng = batch
     scenario = generate_mix(
         MixSpec(n_small=n_small, n_large=n_large),
@@ -124,8 +124,7 @@ def _run_figure1_batch(shared: tuple, batch: tuple[int, np.random.Generator]) ->
         if interference is not None
         else FairShare()
     )
-    run_simulation = engine_runner(engine)
-    result = run_simulation(scenario, scheduler, SimulatorConfig(max_time=max_time))
+    result = simulate(scenario, scheduler, SimulatorConfig(max_time=max_time))
     return [100.0 * d for d in result.throughput_decreases().values()]
 
 
@@ -142,7 +141,6 @@ def throughput_decrease_study(
     max_time: float = float("inf"),
     workers: int | None = None,
     executor: Optional[ExperimentExecutor] = None,
-    engine: Optional[str] = None,
 ) -> ThroughputDecreaseStudy:
     """Replay ~``n_applications`` applications under congestion (Figure 1).
 
@@ -159,8 +157,7 @@ def throughput_decrease_study(
     Batches are mutually independent (each owns one spawned generator), so
     ``workers`` / ``executor`` fan them out over processes exactly like a
     grid — results are collected in batch order and are identical to the
-    serial loop.  ``engine`` picks the simulation kernel per batch
-    (``"heap"`` or ``"batched"``; ``None`` uses the default engine).
+    serial loop.
     """
     if n_applications <= 0:
         raise ValidationError("n_applications must be positive")
@@ -181,7 +178,7 @@ def throughput_decrease_study(
     n_large = applications_per_batch - n_small
     shared = (
         platform, n_small, n_large, io_ratio, release_spread, interference,
-        max_time, engine,
+        max_time,
     )
     batch_results = map_parallel(
         _run_figure1_batch,

@@ -741,7 +741,6 @@ def run_campaign(
                 "overrides": {
                     "seed": spec.seed,
                     "max_time": spec.max_time,
-                    "engine": spec.engine,
                 },
                 "config": config.as_dict(),
                 "store": str(result_store.root),
@@ -797,7 +796,6 @@ def resume_campaign(
     spec = spec.with_overrides(
         seed=overrides.get("seed"),
         max_time=overrides.get("max_time"),
-        engine=overrides.get("engine"),
     )
     config = CampaignConfig.from_dict(header.get("config") or {})
     if workers is not None:

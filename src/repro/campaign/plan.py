@@ -72,7 +72,7 @@ def campaign_id_for(spec: ExperimentSpec) -> str:
 
     ``workers`` and ``output`` are masked out before digesting — resuming
     with a different worker count (or artifact path) is the same campaign,
-    while any change to the science (scenarios, seed, horizon, engine) or
+    while any change to the science (scenarios, seed, horizon) or
     to the producing code yields a different identity, which ``resume``
     turns into a loud mismatch error instead of silently mixing results.
     """
@@ -95,7 +95,7 @@ def plan_campaign(spec: ExperimentSpec) -> CampaignPlan:
         )
     scenarios = build_grid_scenarios(spec.body, spec.seed, max_time=spec.max_time)
     cases = build_cases(spec.body)
-    keys = grid_cell_keys(scenarios, cases, max_time=spec.max_time, engine=spec.engine)
+    keys = grid_cell_keys(scenarios, cases, max_time=spec.max_time)
     cells: list[CampaignCell] = []
     for i, scenario in enumerate(scenarios):
         estimate = estimate_cell_seconds(scenario)

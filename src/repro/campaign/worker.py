@@ -165,7 +165,6 @@ def campaign_worker_main(
                         plan.scenarios[cell.scenario_index],
                         plan.cases[cell.case_index],
                         max_time=spec.max_time,
-                        engine=spec.engine,
                     )
                     # Store before ack: journal "landed" must imply the
                     # entry is durably readable, whatever kills us next.

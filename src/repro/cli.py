@@ -229,16 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override the experiment seed"
     )
     run.add_argument(
-        "--engine",
-        choices=("heap", "batched", "auto"),
-        default=None,
-        help=(
-            "simulation kernel for every cell ('auto' picks per scenario by "
-            "application count; bit-identical results either way; default: "
-            "spec value)"
-        ),
-    )
-    run.add_argument(
         "--out",
         default=None,
         metavar="PATH",
@@ -327,10 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp_run.add_argument(
         "--max-time", type=float, default=None, metavar="SECONDS",
         help="truncate every simulation at this horizon (default: spec value)",
-    )
-    camp_run.add_argument(
-        "--engine", choices=("heap", "batched", "auto"), default=None,
-        help="simulation kernel for every cell (default: spec value)",
     )
     camp_run.add_argument(
         "--lease-seconds", type=float, default=30.0, metavar="SECONDS",
@@ -565,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the benchmarks (writes BENCH_engine.json + BENCH_grid.json)",
         description=(
-            "Time the optimized event-heap engine against the preserved seed "
+            "Time the columnar engine against the preserved reference "
             "engine, and the pooled end-to-end spec runs against serial "
             "ones, writing both machine-readable trajectory payloads.  "
             "Equivalent to benchmarks/run_bench.py."
@@ -590,13 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--scheduler",
         default="MaxSysEff",
-        help="scheduler driven through both engines (default: %(default)s)",
+        help="scheduler driven through the engine and the reference (default: %(default)s)",
     )
     bench.add_argument(
         "--no-reference",
         action="store_true",
         help=(
-            "time only the optimized engine — no speedups; combine with "
+            "time only the engine — no speedups; combine with "
             "--engine-only for a fast smoke run"
         ),
     )
@@ -705,8 +691,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "or an [output] table to the spec"
         )
     spec = spec.with_overrides(
-        seed=args.seed, workers=args.workers, max_time=args.max_time,
-        engine=args.engine,
+        seed=args.seed, workers=args.workers, max_time=args.max_time
     )
     progress = None
     if args.progress:
@@ -860,9 +845,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # campaign run
     spec_data = load_spec_data(args.spec)
     spec = parse_spec(spec_data, name=Path(args.spec).stem)
-    spec = spec.with_overrides(
-        seed=args.seed, max_time=args.max_time, engine=args.engine
-    )
+    spec = spec.with_overrides(seed=args.seed, max_time=args.max_time)
     if args.workers is not None:
         workers = resolve_workers(args.workers)
     elif spec.workers:

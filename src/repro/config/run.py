@@ -144,8 +144,7 @@ def _run_grid_spec(
         cases = build_cases(body)
     with _OBS.stage("run", kind=spec.kind):
         grid = run_grid(scenarios, cases, max_time=spec.max_time,
-                        progress=progress, executor=executor, store=store,
-                        engine=spec.engine)
+                        progress=progress, executor=executor, store=store)
     with _OBS.stage("report", kind=spec.kind):
         return _grid_spec_report(spec, body, scenarios, grid)
 
@@ -234,7 +233,6 @@ def _run_figure6_spec(
                 progress=progress,
                 executor=executor,
                 store=store,
-                engine=spec.engine,
             )
             if progress is not None:
                 progress(f"panel {panel}: {i + 1}/{len(body.panels)} done")
@@ -299,7 +297,6 @@ def _run_congested_spec(
             progress=progress,
             executor=executor,
             store=store,
-            engine=spec.engine,
         )
     with _OBS.stage("report", kind=spec.kind):
         records = grid_records(result.grid)
@@ -353,7 +350,6 @@ def _run_vesta_spec(
             progress=progress,
             executor=executor,
             store=store,
-            engine=spec.engine,
         )
     with _OBS.stage("report", kind=spec.kind):
         records = [
@@ -517,7 +513,6 @@ def _run_periodic_spec(
                 progress=progress,
                 executor=executor,
                 store=store,
-                engine=spec.engine,
             )
             for case in grid.cases:
                 online_payload[case.scheduler_label] = {
@@ -596,7 +591,6 @@ def _analysis_figure1(
         bin_width=f1.bin_width,
         max_time=spec.max_time,
         executor=executor,
-        engine=spec.engine,
     )
     fragment = {
         "n_applications_requested": study.n_applications_requested,
@@ -722,7 +716,6 @@ def _analysis_figure7(
         max_time=spec.max_time,
         progress=progress,
         executor=executor,
-        engine=spec.engine,
     )
     fragment = {
         "scenario": f7.scenario,
@@ -823,7 +816,6 @@ def _run_analysis_spec(
                     canonical_json(getattr(body, figure)),
                     spec.seed,
                     spec.max_time,
-                    spec.engine,
                 )
                 cached = store.get(study_key)
             if cached is not None:

@@ -50,7 +50,6 @@ from repro.experiments.comparison import (
     FIGURE6_SCHEDULERS,
     TABLE_SCHEDULERS,
 )
-from repro.experiments.runner import DEFAULT_ENGINE, ENGINES
 from repro.experiments.vesta import VESTA_CONFIGURATIONS
 from repro.online.registry import make_scheduler
 from repro.periodic.heuristics import InsertInScheduleCong, InsertInScheduleThrou
@@ -720,9 +719,6 @@ class ExperimentSpec:
     workers: Optional[int] = None
     max_time: float = float("inf")
     output: Optional[OutputSpec] = None
-    #: Simulation kernel every simulated cell of the spec runs on.  Both
-    #: engines are pinned bit-identical, so this is purely a speed knob.
-    engine: str = DEFAULT_ENGINE
 
     def with_overrides(
         self,
@@ -731,7 +727,6 @@ class ExperimentSpec:
         workers: Optional[int] = None,
         max_time: Optional[float] = None,
         output: Optional[OutputSpec] = None,
-        engine: Optional[str] = None,
     ) -> "ExperimentSpec":
         """Copy with CLI-level overrides applied (``None`` keeps the spec value).
 
@@ -754,12 +749,6 @@ class ExperimentSpec:
             spec = replace(spec, max_time=max_time)
         if output is not None:
             spec = replace(spec, output=output)
-        if engine is not None:
-            if engine not in ENGINES:
-                raise SpecError(
-                    f"engine must be one of {sorted(ENGINES)}, got {engine!r}"
-                )
-            spec = replace(spec, engine=engine)
         return spec
 
 
@@ -1029,7 +1018,6 @@ def parse_spec(data: Mapping[str, object], *, name: str = "experiment") -> Exper
     max_time = experiment.get_float(
         "max_time", float("inf"), positive=True, allow_inf=True
     )
-    engine = experiment.get_str("engine", DEFAULT_ENGINE, choices=ENGINES)
     if kind == "vesta" and max_time != float("inf"):
         # Vesta cells are overhead-scored on complete runs; truncating them
         # would produce misleading numbers (see repro.config.run).
@@ -1091,5 +1079,4 @@ def parse_spec(data: Mapping[str, object], *, name: str = "experiment") -> Exper
         workers=workers,
         max_time=max_time,
         output=output,
-        engine=engine,
     )

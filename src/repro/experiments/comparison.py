@@ -117,7 +117,6 @@ def figure6_experiment(
     progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
-    engine: Optional[str] = None,
 ) -> Figure6Result:
     """Reproduce one panel of Figure 6.
 
@@ -133,9 +132,7 @@ def figure6_experiment(
     to completion.  ``executor`` reuses a caller-owned pool (multi-panel
     campaigns pass one executor to every panel).  ``store`` memoizes the
     grid cells through the content-addressed result store (see
-    :func:`repro.experiments.runner.run_grid`).  ``engine`` selects the
-    simulation kernel per cell (``"heap"`` or ``"batched"``; ``None`` uses
-    the default engine) — both are bit-identical, so it only affects speed.
+    :func:`repro.experiments.runner.run_grid`).
     """
     if scenario not in FIGURE6_SCENARIOS:
         raise ValidationError(
@@ -151,8 +148,7 @@ def figure6_experiment(
     ]
     cases = [SchedulerCase(name=name) for name in schedulers]
     grid = run_grid(scenarios, cases, max_time=max_time, workers=workers,
-                    progress=progress, executor=executor, store=store,
-                    engine=engine)
+                    progress=progress, executor=executor, store=store)
     result = Figure6Result(scenario=scenario, n_repetitions=n_repetitions)
     for scheduler, metrics in grid.averages().items():
         result.averages[scheduler] = HeuristicAverages(
@@ -210,7 +206,6 @@ def congested_moments_experiment(
     progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
-    engine: Optional[str] = None,
 ) -> CongestedMomentsResult:
     """Reproduce the congested-moment campaigns (Tables 1–2, Figures 8–13).
 
@@ -245,6 +240,5 @@ def congested_moments_experiment(
         )
     )
     grid = run_grid(moments, cases, max_time=max_time, workers=workers,
-                    progress=progress, executor=executor, store=store,
-                    engine=engine)
+                    progress=progress, executor=executor, store=store)
     return CongestedMomentsResult(machine=machine, grid=grid, baseline_label=baseline)

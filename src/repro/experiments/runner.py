@@ -54,7 +54,6 @@ from repro.core.platform import Platform
 from repro.core.scenario import Scenario
 from repro.obs.telemetry import recorder as _obs_recorder
 from repro.online.registry import make_scheduler
-from repro.simulator.batched import batched_simulate
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.interface import SchedulerProtocol
 from repro.simulator.metrics import FaultStats, SimulationResult
@@ -62,12 +61,6 @@ from repro.store import ResultStore, canonical_json, code_fingerprint, digest
 from repro.utils.validation import ValidationError
 
 __all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "AUTO_DISPATCH_MIN_APPS",
-    "resolve_engine",
-    "dispatch_engine",
-    "engine_runner",
     "SchedulerCase",
     "CaseResult",
     "ExperimentGrid",
@@ -92,81 +85,11 @@ _R = TypeVar("_R")
 #: results — see docs/observability.md.
 _OBS = _obs_recorder()
 
-#: Simulation engines selectable per campaign.  The concrete kernels are
-#: pinned bit-identical to the frozen reference engine
-#: (tests/test_engine_equivalence.py and tests/test_engine_differential.py),
-#: so the choice only affects speed: "batched" (the columnar numpy kernel)
-#: wins on wide scenarios and is the default; "heap" (the indexed event
-#: queue) wins on very small ones and serves as the fallback for custom
-#: scheduler objects; "auto" picks per scenario by application count (heap
-#: below :data:`AUTO_DISPATCH_MIN_APPS`, batched at or above).
-ENGINES = ("heap", "batched", "auto")
-DEFAULT_ENGINE = "batched"
-
-#: Width threshold of the "auto" engine: below this many applications the
-#: per-breakpoint numpy call overhead of the batched kernel exceeds its
-#: vectorization win and the heap engine is faster (the BENCH_engine.json
-#: scaling curve crosses between ~20 and ~50 apps depending on the machine;
-#: 32 splits that band).  Dispatch is per *scenario*, so one campaign mixing
-#: narrow and wide scenarios uses the right kernel for each — and because
-#: both kernels are bit-identical, the threshold can move without changing
-#: any result (store keys record the kernel actually dispatched, so moving
-#: it recomputes only the cells whose kernel flipped).
-AUTO_DISPATCH_MIN_APPS = 32
-
-
-def _auto_simulate(
-    scenario: Scenario,
-    scheduler: SchedulerProtocol,
-    config: SimulatorConfig | None = None,
-    event_log=None,
-) -> SimulationResult:
-    """Width-dispatching kernel behind ``engine="auto"``.
-
-    Module-level (picklable) so auto-engined grids parallelize exactly like
-    concrete-engined ones.
-    """
-    if len(scenario.applications) < AUTO_DISPATCH_MIN_APPS:
-        return simulate(scenario, scheduler, config, event_log)
-    return batched_simulate(scenario, scheduler, config, event_log)
-
-
-_ENGINE_RUNNERS = {
-    "heap": simulate,
-    "batched": batched_simulate,
-    "auto": _auto_simulate,
-}
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Normalize an engine selector: ``None`` means the default engine."""
-    if engine is None:
-        return DEFAULT_ENGINE
-    if engine not in _ENGINE_RUNNERS:
-        raise ValidationError(
-            f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}"
-        )
-    return engine
-
-
-def dispatch_engine(engine: str | None, n_apps: int) -> str:
-    """The concrete kernel that will simulate a scenario of ``n_apps``
-    applications under ``engine`` — resolves ``"auto"`` by width, passes
-    concrete selectors through."""
-    resolved = resolve_engine(engine)
-    if resolved == "auto":
-        return "heap" if n_apps < AUTO_DISPATCH_MIN_APPS else "batched"
-    return resolved
-
-
-def engine_runner(engine: str | None):
-    """The ``simulate``-compatible callable behind an engine selector.
-
-    Harnesses that call the simulator directly (instead of through
-    :func:`run_case`) use this to honor the same ``engine`` knob; the
-    ``"auto"`` selector returns a wrapper that dispatches per scenario.
-    """
-    return _ENGINE_RUNNERS[resolve_engine(engine)]
+#: The simulation kernel, looked up by :func:`run_case` at call time.  A
+#: one-entry table rather than a direct call so that tracing tools can wrap
+#: the engine from outside the program (``perfbench/layers.py`` swaps the
+#: entry for a timing wrapper and restores it afterwards).
+_ENGINE_RUNNERS = {"simulate": simulate}
 
 
 #: Sentinel distinguishing "no shared payload" from a shared payload of None.
@@ -810,15 +733,9 @@ def run_case(
     *,
     max_time: float = float("inf"),
     return_result: bool = False,
-    engine: str | None = None,
 ) -> CaseResult | tuple[CaseResult, SimulationResult]:
-    """Run one scenario under one scheduler case.
-
-    ``engine`` selects the simulation kernel (``"heap"``, ``"batched"`` or
-    the width-dispatching ``"auto"``, default :data:`DEFAULT_ENGINE`); every
-    selector produces bit-identical results.
-    """
-    run_simulation = _ENGINE_RUNNERS[resolve_engine(engine)]
+    """Run one scenario under one scheduler case."""
+    run_simulation = _ENGINE_RUNNERS["simulate"]
     run_scenario = scenario
     if case.use_burst_buffer:
         platform = case.burst_buffer_platform or scenario.platform
@@ -832,20 +749,16 @@ def run_case(
     if not _OBS.enabled:
         result = run_simulation(run_scenario, case.build_scheduler(), config)
     else:
-        dispatched = dispatch_engine(engine, len(run_scenario.applications))
         with _OBS.span(
             "cell",
             category="cell",
             observe="repro_cell_seconds",
             scenario=scenario.label,
             scheduler=case.display,
-            engine=dispatched,
         ):
             result = run_simulation(run_scenario, case.build_scheduler(), config)
-        _OBS.count("repro_cells_total", engine=dispatched)
-        _OBS.count(
-            "repro_cell_events_total", float(result.n_events), engine=dispatched
-        )
+        _OBS.count("repro_cells_total")
+        _OBS.count("repro_cell_events_total", float(result.n_events))
     case_result = CaseResult(
         scenario_label=scenario.label,
         scheduler_label=case.display,
@@ -898,7 +811,6 @@ def grid_cell_keys(
     cases: Sequence[SchedulerCase],
     *,
     max_time: float = float("inf"),
-    engine: str | None = None,
 ) -> list[list[str]]:
     """Content-addressed store key of every ``(scenario, case)`` grid cell.
 
@@ -911,31 +823,13 @@ def grid_cell_keys(
     memo table of :func:`run_grid` and the sharded campaign coordinator of
     :mod:`repro.campaign` — which is what makes stores written by campaign
     workers on other hosts serve a local serial rerun with 100% hits.
-
-    The engine lands in the key prefix: all engines are pinned
-    bit-identical, but a stored cell should stay honest about the kernel
-    that produced it, so an engine switch recomputes rather than silently
-    re-labelling old results.  The "auto" selector is resolved per scenario
-    *before* keying — an auto cell stores under the kernel that actually
-    ran it, so auto campaigns share cells with explicit heap/batched
-    campaigns of the same width.
     """
-    engine = resolve_engine(engine)
-    fingerprint = code_fingerprint()
-    prefixes = [
-        digest(
-            "grid-cell",
-            fingerprint,
-            max_time,
-            dispatch_engine(engine, len(scenario.applications)),
-        )
-        for scenario in scenarios
-    ]
+    prefix = digest("grid-cell", code_fingerprint(), max_time)
     scenario_texts = [canonical_json(s) for s in scenarios]
     case_texts = [canonical_json(c) for c in cases]
     return [
-        [digest(prefixes[i], s_text, c_text) for c_text in case_texts]
-        for i, s_text in enumerate(scenario_texts)
+        [digest(prefix, s_text, c_text) for c_text in case_texts]
+        for s_text in scenario_texts
     ]
 
 
@@ -948,12 +842,9 @@ class _GridCellCache(MapCache):
         scenarios: Sequence[Scenario],
         cases: Sequence[SchedulerCase],
         max_time: float,
-        engine: str,
     ):
         super().__init__(store)
-        self._keys = grid_cell_keys(
-            scenarios, cases, max_time=max_time, engine=engine
-        )
+        self._keys = grid_cell_keys(scenarios, cases, max_time=max_time)
 
     def key(self, item: tuple[int, int]) -> str:
         i, j = item
@@ -967,13 +858,13 @@ class _GridCellCache(MapCache):
 
 
 def _run_grid_cell_shared(
-    shared: tuple[tuple[Scenario, ...], tuple[SchedulerCase, ...], float, str],
+    shared: tuple[tuple[Scenario, ...], tuple[SchedulerCase, ...], float],
     cell: tuple[int, int],
 ) -> CaseResult:
     """Shared-payload grid cell: the axes travel once per worker, not per cell."""
-    scenarios, cases, max_time, engine = shared
+    scenarios, cases, max_time = shared
     i, j = cell
-    return run_case(scenarios[i], cases[j], max_time=max_time, engine=engine)
+    return run_case(scenarios[i], cases[j], max_time=max_time)
 
 
 #: Rough per-event simulation cost backing the grid's serial-fallback hint.
@@ -1014,7 +905,6 @@ def run_grid(
     progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
-    engine: str | None = None,
 ) -> ExperimentGrid:
     """Run every scenario under every scheduler case.
 
@@ -1047,25 +937,19 @@ def run_grid(
         already stored are served without simulating anything, and fresh
         cells are written back as they complete.  Cached grids are
         cell-for-cell identical to cold ones (the key covers the canonical
-        scenario, case, horizon, engine and producing-code fingerprint).
-    engine:
-        Simulation kernel for every cell (``"heap"``, ``"batched"`` or
-        ``"auto"``, which picks per scenario by application count;
-        ``None`` uses :data:`DEFAULT_ENGINE`).  Every selector is pinned
-        bit-identical, so this is purely a speed knob.
+        scenario, case, horizon and producing-code fingerprint).
     """
     if not scenarios:
         raise ValidationError("run_grid needs at least one scenario")
     if not cases:
         raise ValidationError("run_grid needs at least one scheduler case")
-    engine = resolve_engine(engine)
-    shared = (tuple(scenarios), tuple(cases), max_time, engine)
+    shared = (tuple(scenarios), tuple(cases), max_time)
     cells = [
         (i, j) for i in range(len(scenarios)) for j in range(len(cases))
     ]
     cache = None
     if store is not None:
-        cache = _GridCellCache(store, shared[0], shared[1], max_time, engine)
+        cache = _GridCellCache(store, shared[0], shared[1], max_time)
 
     on_cell = None
     if progress is not None:
@@ -1087,7 +971,6 @@ def run_grid(
         category="grid",
         scenarios=len(scenarios),
         cases=len(cases),
-        engine=engine,
     ):
         for result in map_parallel(
             _run_grid_cell_shared,

@@ -3,8 +3,7 @@
 The paper's campaigns replay thousands of (scenario × scheduler) cells, so
 the events-per-second throughput of the discrete-event engine bounds every
 experiment in this repository.  This module builds synthetic congested
-scenarios of controlled size, times the batched numpy engine
-(:mod:`repro.simulator.batched`) and the event-heap engine
+scenarios of controlled size, times the columnar engine
 (:mod:`repro.simulator.engine`) against the preserved seed engine
 (:mod:`repro.simulator.reference`) on identical windows, and emits a
 machine-readable payload (``BENCH_engine.json``) that future PRs diff to
@@ -17,15 +16,14 @@ Two entry points consume it:
 
 Methodology
 -----------
-Each cell simulates the *same* scenario under the *same* scheduler with every
-engine, truncated at the same ``max_time`` horizon (chosen so a cell stays
+Each cell simulates the *same* scenario under the *same* scheduler with both
+engines, truncated at the same ``max_time`` horizon (chosen so a cell stays
 benchmark-sized even at 500 applications × 100 instances — a full run of the
 largest cell takes minutes on the seed engine, which is exactly the problem
-the optimized engines address).  All engines traverse the identical event
-timeline —
-the suite asserts equal event counts and makespans, piggybacking a coarse
-equivalence check onto every benchmark run — so events/sec ratios compare
-like with like.
+the optimized engine addresses).  Both engines traverse the identical event
+timeline — the suite asserts equal event counts and makespans, piggybacking a
+coarse equivalence check onto every benchmark run — so events/sec ratios
+compare like with like.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from repro.core.application import Application
 from repro.core.platform import Platform
 from repro.core.scenario import Scenario
 from repro.online.registry import make_scheduler
-from repro.simulator.batched import batched_simulate
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.metrics import SimulationResult
 from repro.simulator.reference import reference_simulate
@@ -170,16 +167,15 @@ def measure_cell(
     events_budget: int = 4000,
     include_reference: bool = True,
 ) -> dict:
-    """Time one grid cell on the heap and batched engines (and the oracle).
+    """Time one grid cell on the engine (and the reference oracle).
 
-    Returns a JSON-ready mapping with per-engine ``n_events`` / ``seconds`` /
-    ``events_per_sec`` (keys ``engine`` for the heap engine — the historical
-    name, kept so BENCH diffs stay readable — and ``batched`` for the
-    columnar numpy engine), the ``batched_speedup_vs_heap`` ratio, and, when
-    the reference runs too, the ``speedup`` / ``batched_speedup`` ratios
-    against it plus an ``identical`` flag (equal event counts and makespans
-    across *all* engines run — they must traverse the same timeline or the
-    ratios are meaningless).
+    Returns a JSON-ready mapping with ``n_events`` / ``seconds`` /
+    ``events_per_sec`` per engine run (key ``batched`` for the columnar
+    engine — the historical name, kept so BENCH diffs stay readable — and
+    ``reference`` for the oracle).  When the reference runs, the mapping
+    also holds the ``batched_speedup`` ratio and an ``identical`` flag
+    (equal event counts and makespans — both engines must traverse the same
+    timeline or the ratio is meaningless).
     """
     scenario = scaling_scenario(n_apps, n_instances, seed=seed)
     max_time = cell_horizon(scenario, events_budget)
@@ -189,29 +185,20 @@ def measure_cell(
         "scheduler": scheduler,
         "seed": seed,
         "max_time": max_time,
-        "engine": _timed(simulate, scenario, scheduler, max_time),
-        "batched": _timed(batched_simulate, scenario, scheduler, max_time),
+        "batched": _timed(simulate, scenario, scheduler, max_time),
     }
-    cell["batched_speedup_vs_heap"] = (
-        cell["batched"]["events_per_sec"] / cell["engine"]["events_per_sec"]
-    )
-    identical = (
-        cell["engine"]["n_events"] == cell["batched"]["n_events"]
-        and cell["engine"]["makespan"] == cell["batched"]["makespan"]
-    )
     if include_reference:
-        cell["reference"] = _timed(reference_simulate, scenario, scheduler, max_time)
-        cell["speedup"] = (
-            cell["engine"]["events_per_sec"] / cell["reference"]["events_per_sec"]
+        engine = cell["batched"]
+        reference = cell["reference"] = _timed(
+            reference_simulate, scenario, scheduler, max_time
         )
         cell["batched_speedup"] = (
-            cell["batched"]["events_per_sec"] / cell["reference"]["events_per_sec"]
+            engine["events_per_sec"] / reference["events_per_sec"]
         )
-        identical = identical and (
-            cell["engine"]["n_events"] == cell["reference"]["n_events"]
-            and cell["engine"]["makespan"] == cell["reference"]["makespan"]
+        cell["identical"] = (
+            engine["n_events"] == reference["n_events"]
+            and engine["makespan"] == reference["makespan"]
         )
-    cell["identical"] = identical
     return cell
 
 
@@ -246,14 +233,12 @@ def run_scaling_suite(
         if progress is not None:
             line = (
                 f"{n_apps:4d} apps x {n_instances:3d} inst: "
-                f"batched {cell['batched']['events_per_sec']:8.0f} ev/s, "
-                f"heap {cell['engine']['events_per_sec']:8.0f} ev/s "
-                f"({cell['batched_speedup_vs_heap']:.2f}x)"
+                f"engine {cell['batched']['events_per_sec']:8.0f} ev/s"
             )
             if include_reference:
                 line += (
                     f"  (reference {cell['reference']['events_per_sec']:8.0f} ev/s, "
-                    f"batched speedup {cell['batched_speedup']:.2f}x)"
+                    f"speedup {cell['batched_speedup']:.2f}x)"
                 )
             progress(line)
     return {
@@ -290,7 +275,7 @@ def run_bench_cli(
 
     Returns the process exit status: 0 on success, 1 when any ``identical``
     flag in either payload is false — a determinism regression (the
-    optimized engine diverged from the reference timeline, a pooled run
+    engine diverged from the reference timeline, a pooled run
     diverged from serial, or the warm-started sweep diverged from the naive
     one).  ``error`` receives the mismatch report (defaults to stderr).
     """
@@ -322,12 +307,12 @@ def run_bench_cli(
         broken = [
             f"{c['n_apps']}x{c['n_instances']}"
             for c in payload["cells"]
-            if not c["identical"]
+            if c.get("identical") is False
         ]
         if broken:
             error(
-                f"ENGINE MISMATCH on cells: {', '.join(broken)} — an "
-                "optimized engine no longer reproduces the reference timeline"
+                f"ENGINE MISMATCH on cells: {', '.join(broken)} — the "
+                "engine no longer reproduces the reference timeline"
             )
             status = 1
 

@@ -45,13 +45,11 @@ from repro.experiments.overhead import (
 from repro.experiments.runner import (
     ExperimentExecutor,
     MapCache,
-    engine_runner,
     map_parallel,
-    resolve_engine,
 )
 from repro.online.baselines import ior_scheduler
 from repro.online.registry import make_scheduler
-from repro.simulator.engine import SimulatorConfig
+from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.metrics import SimulationResult
 from repro.store import ResultStore, canonical_json, code_fingerprint, digest
 from repro.utils.rng import RngLike
@@ -169,13 +167,8 @@ def run_vesta_case(
     overhead: OverheadModel = DEFAULT_OVERHEAD,
     rng: RngLike = 0,
     jitter: float = 0.05,
-    engine: Optional[str] = None,
 ) -> VestaCase:
-    """Run one (node mix, configuration) cell of the Vesta grid.
-
-    ``engine`` selects the simulation kernel (``"heap"`` or ``"batched"``;
-    ``None`` uses the default engine) — bit-identical either way.
-    """
+    """Run one (node mix, configuration) cell of the Vesta grid."""
     if configuration not in VESTA_CONFIGURATIONS:
         raise ValidationError(
             f"unknown Vesta configuration {configuration!r}; "
@@ -190,17 +183,16 @@ def run_vesta_case(
         )
     scenario = ior_scenario(scenario_name, base_platform, rng=rng, jitter=jitter)
     config = SimulatorConfig(use_burst_buffer=use_bb)
-    run_simulation = engine_runner(engine)
 
     if scheduler_key == "IOR":
-        result = run_simulation(scenario, ior_scheduler(), config)
+        result = simulate(scenario, ior_scheduler(), config)
         summary = result.summary()
         dilations = result.dilations()
         makespan = result.makespan
     else:
         scheduler = make_scheduler(_HEURISTIC_NAMES[scheduler_key])
         inflated = overhead.apply_to_scenario(scenario)
-        result = run_simulation(inflated, scheduler, config)
+        result = simulate(inflated, scheduler, config)
         summary, dilations = score_with_overhead(scenario, result)
         makespan = result.makespan
     return VestaCase(
@@ -228,12 +220,10 @@ class _VestaCellCache(MapCache):
         store: ResultStore,
         overhead: OverheadModel,
         seed: object,
-        engine: str,
     ):
         super().__init__(store)
         self._prefix = digest(
-            "vesta-cell", code_fingerprint(), canonical_json(overhead), seed,
-            engine,
+            "vesta-cell", code_fingerprint(), canonical_json(overhead), seed
         )
 
     def key(self, item: tuple[str, str]) -> str:
@@ -259,14 +249,12 @@ class _VestaCellCache(MapCache):
 
 
 def _run_vesta_cell_shared(
-    shared: tuple[OverheadModel, RngLike, str], cell: tuple[str, str]
+    shared: tuple[OverheadModel, RngLike], cell: tuple[str, str]
 ) -> VestaCase:
-    """Shared-payload Vesta cell: overhead, seed and engine travel once."""
-    overhead, rng, engine = shared
+    """Shared-payload Vesta cell: overhead and seed travel once."""
+    overhead, rng = shared
     scenario, configuration = cell
-    return run_vesta_case(
-        scenario, configuration, overhead=overhead, rng=rng, engine=engine
-    )
+    return run_vesta_case(scenario, configuration, overhead=overhead, rng=rng)
 
 
 def _check_parallel_rng(
@@ -307,7 +295,6 @@ def vesta_experiment(
     progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
-    engine: Optional[str] = None,
 ) -> VestaExperimentResult:
     """The full Figure 15 grid.
 
@@ -325,7 +312,6 @@ def vesta_experiment(
     per run; both run silently uncached).
     """
     _check_parallel_rng(rng, workers, executor)
-    engine = resolve_engine(engine)
     cells = [
         (scenario, configuration)
         for scenario in scenarios
@@ -347,7 +333,7 @@ def vesta_experiment(
     # memoizing it would freeze one run's random draw forever; live
     # generators have no canonical form.  Both run uncached.
     if store is not None and isinstance(rng, int) and not isinstance(rng, bool):
-        cache = _VestaCellCache(store, overhead, rng, engine)
+        cache = _VestaCellCache(store, overhead, rng)
     result = VestaExperimentResult()
     result.cases.extend(
         map_parallel(
@@ -356,7 +342,7 @@ def vesta_experiment(
             workers=workers,
             progress=on_cell,
             executor=executor,
-            shared=(overhead, rng, engine),
+            shared=(overhead, rng),
             cache=cache,
         )
     )

@@ -35,9 +35,8 @@ __all__ = ["RoundRobin", "MinDilation", "MaxSysEff", "MinMaxGamma"]
 
 # Every sort key below ends with the same deterministic tie-break pair:
 # earlier I/O request first (inf when no request is pending), then name.
-# The pair is cached on the view (`ApplicationView.order_key`), and the
-# engine reuses views across events, so the tie-break is usually a dict
-# lookup rather than a rebuilt tuple.
+# The pair is cached on the view (`ApplicationView.order_key`), so repeated
+# sorts of one event look it up rather than rebuild the tuple.
 
 
 class RoundRobin(OnlineScheduler):

@@ -9,7 +9,6 @@ objectives (and every figure-level metric) can be computed.
 """
 
 from repro.simulator.bandwidth import fair_share, favor_in_order, single_application_rate
-from repro.simulator.batched import BatchedSimulator, batched_simulate
 from repro.simulator.burst_buffer import BurstBufferState
 from repro.simulator.engine import (
     SimulationError,
@@ -36,7 +35,6 @@ from repro.simulator.metrics import (
     InstanceRecord,
     SimulationResult,
 )
-from repro.simulator.queue import EventHeap
 from repro.simulator.reference import ReferenceSimulator, reference_simulate
 
 __all__ = [
@@ -45,9 +43,6 @@ __all__ = [
     "simulate",
     "ReferenceSimulator",
     "reference_simulate",
-    "BatchedSimulator",
-    "batched_simulate",
-    "EventHeap",
     "SimulationError",
     "StallError",
     "ApplicationPhase",

@@ -4,70 +4,59 @@ The engine implements the execution model of Section 2.1 directly:
 
 * compute phases run undisturbed on dedicated processors;
 * at every *event* (application release, I/O request, I/O completion,
-  burst-buffer transition) the scheduler is consulted and returns a
-  piecewise-constant bandwidth assignment, feasible with respect to the
-  per-node cap ``b`` and the aggregate cap ``B``;
+  burst-buffer transition, fault-window boundary, crash) the scheduler's
+  policy yields a piecewise-constant bandwidth assignment, feasible with
+  respect to the per-node cap ``b`` and the aggregate cap ``B``;
 * between events every quantity evolves linearly, so the engine only ever
   advances time to the *next* event — there is no fixed time step and no
   numerical integration error beyond floating-point rounding.
 
-The same engine runs the paper's online heuristics, the fair-share
-"congestion" baselines with or without burst buffers, and the replay of
-precomputed periodic schedules (through the periodic scheduler adapter in
-:mod:`repro.periodic`), which is what makes the comparisons apples-to-apples.
+Per-application state is kept as flat numpy columns (phases,
+release/compute-end times, remaining volumes, rates, request times), so
+each event is a handful of vectorized passes over all applications instead
+of per-object Python dispatch: candidate collection, ordering keys, the
+next-event horizon and the interval advance are all array expressions, and
+only the (few) applications actually transitioning at the new time are
+touched by scalar code.
 
-Fast path
----------
-This is the optimized engine.  Where the original implementation (preserved
-as :mod:`repro.simulator.reference`) swept every application at every event —
-O(n_apps) scans for candidate collection, transition firing and the next
-event horizon, plus an O(n_instances) prefix re-summation inside every
-scheduler view — this engine keeps indexed state so that each event costs
-O(k log n) in the number of applications actually transitioning:
+The contract is **bit-for-bit identity** with the reference engine
+(:mod:`repro.simulator.reference`, the frozen oracle) — same event
+timeline, same floats in every record and event log.  That constrains the
+vectorization in two ways:
 
-* releases and compute completions live in an
-  :class:`~repro.simulator.queue.EventHeap` (lazy invalidation via
-  per-runtime compute epochs), so the earliest time-certain event is a peek,
-  not a scan;
-* I/O completions are derived from the *active-transfer list* of the current
-  interval — only applications that actually hold bandwidth are advanced and
-  checked;
-* the I/O-candidate set and the done-counter are maintained incrementally by
-  the transition handlers;
-* scheduler views use the cached prefix sums of
-  :attr:`repro.core.application.Application.cumulative_work`, making the
-  congestion-free efficiency an O(1) lookup, and each runtime memoizes its
-  last :class:`~repro.simulator.interface.ApplicationView`, rebuilding it
-  only when its state (or its time-dependent achieved efficiency) actually
-  changed since the last allocation.
+* elementwise array arithmetic is used freely (IEEE-754 elementwise ops are
+  identical to the equivalent scalar ops), but *sequential accumulations*
+  whose rounding depends on evaluation order (the greedy favouring loop, the
+  burst-buffer ingest total, per-run recovery-I/O sums) stay as ordered
+  Python loops exactly mirroring the reference;
+* the scheduler policies are dispatched **by exact type** onto vectorized
+  ordering kernels (``np.lexsort`` with the shared ``(request time, name)``
+  tie-break).  Any scheduler outside the built-in set — subclasses and
+  custom :class:`~repro.simulator.interface.SchedulerProtocol` objects —
+  runs the whole scenario on the reference engine instead, which handles
+  arbitrary schedulers; each such run is counted as
+  ``repro_engine_fallback_total``.
 
-The optimization is pure bookkeeping: the event timeline, every float handed
-to the scheduler and every result record are bit-for-bit identical to the
-reference engine (``tests/test_engine_equivalence.py`` enforces this), so
-published numbers do not move.
+``tests/test_engine_equivalence.py`` and the differential fuzz suite
+(``tests/test_engine_differential.py``) enforce the identity;
+``benchmarks/bench_engine_scaling.py`` tracks the speedup over the
+reference in ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.allocation import BandwidthAllocation
-from repro.core.application import Application
+import numpy as np
+
 from repro.core.events import Event, EventLog, EventType
 from repro.core.scenario import Scenario
-from repro.faults.model import CrashEvent, FaultTimeline
-from repro.simulator.bandwidth import fair_share
+from repro.faults.model import FaultTimeline
+from repro.obs.telemetry import recorder as _obs_recorder
 from repro.simulator.burst_buffer import BurstBufferState
-from repro.simulator.interface import (
-    ApplicationPhase,
-    ApplicationView,
-    SchedulerProtocol,
-    SystemView,
-)
+from repro.simulator.interface import SchedulerProtocol
 from repro.simulator.metrics import (
     ApplicationRecord,
     BurstBufferStats,
@@ -75,11 +64,9 @@ from repro.simulator.metrics import (
     InstanceRecord,
     SimulationResult,
 )
-from repro.obs.telemetry import recorder as _obs_recorder
-from repro.simulator.queue import EventHeap
 from repro.utils.validation import ValidationError
 
-#: Process-wide telemetry funnel.  The engine only *accumulates plain int
+#: Process-wide telemetry funnel.  The kernel only *accumulates plain int
 #: counters* during a run and flushes them once at the end when the
 #: recorder is enabled — no clocks, no per-event telemetry calls, so the
 #: hot loop stays at native speed and the determinism contract is
@@ -87,19 +74,6 @@ from repro.utils.validation import ValidationError
 _OBS = _obs_recorder()
 
 __all__ = ["SimulationError", "StallError", "SimulatorConfig", "Simulator", "simulate"]
-
-#: Absolute slack (seconds / bytes) used when comparing event times and
-#: residual volumes.  Scales are seconds and bytes, so 1e-6 is far below any
-#: physically meaningful quantity while being far above accumulated rounding.
-_TIME_EPS = 1e-9
-_VOLUME_EPS = 1e-6
-
-#: Kinds of time-certain events kept in the heap.  I/O completions are not
-#: heap events: their times depend on the bandwidth assignment, which changes
-#: at every event, so they are derived from the active-transfer list instead.
-_RELEASE = 0
-_COMPUTE_END = 1
-
 
 class SimulationError(RuntimeError):
     """Raised when the simulation cannot proceed or an invariant is broken."""
@@ -118,7 +92,7 @@ def _stall_message(
 ) -> str:
     """Diagnostic for a stall: who is stuck, when, and under which faults.
 
-    Shared by both engines so the diagnosis never diverges.  The message
+    Shared with the reference engine so the diagnosis never diverges.  The message
     keeps the ``"stalled"`` / ``"N application(s)"`` phrasing the guard-rail
     tests (and downstream log scrapers) match on.
     """
@@ -164,78 +138,91 @@ class SimulatorConfig:
     max_events: int = 10_000_000
 
 
-@dataclass(eq=False)
-class _Runtime:
-    """Mutable per-application state inside the engine.
+#: Same slacks as the reference engine (times in seconds, volumes in bytes).
+_TIME_EPS = 1e-9
+_VOLUME_EPS = 1e-6
+#: Same epsilon as :mod:`repro.simulator.bandwidth` (bandwidth in bytes/s).
+_BW_EPS = 1e-12
 
-    Beyond the simulation state proper, each runtime carries the fast-path
-    bookkeeping: its insertion index (the deterministic ordering key every
-    candidate list and transition sweep uses), the compute epoch that
-    invalidates stale heap entries, and the memoized scheduler view with its
-    epoch (``view_epoch`` is bumped by every mutation that can change the
-    view, so an unchanged epoch plus an unchanged achieved efficiency means
-    the cached view is still exact).
+# Integer phase codes for the ``phase`` column (the enum members of
+# ``ApplicationPhase``, in lifecycle order).
+_NOT_RELEASED = 0
+_COMPUTING = 1
+_IO_PENDING = 2
+_DOING_IO = 3
+_DONE = 4
+
+#: Heuristics whose ``allocate`` is the shared greedy favouring loop and
+#: whose ordering reduces to a lexsort kernel.  Keys are *exact* types: a
+#: subclass may override anything, so it must take the reference path.
+#: Populated lazily — the scheduler modules import the simulator package,
+#: so importing them at module scope would be circular.
+_FAVOR_ORDERINGS: dict[type, str] = {}
+_POLICY_TYPES: dict[str, type] = {}
+
+
+def _policy_types() -> dict[str, type]:
+    if not _POLICY_TYPES:
+        from repro.online.baselines import FCFS, FairShare
+        from repro.online.heuristics import (
+            MaxSysEff,
+            MinDilation,
+            MinMaxGamma,
+            RoundRobin,
+        )
+        from repro.online.priority import Priority
+
+        _FAVOR_ORDERINGS.update(
+            {
+                RoundRobin: "roundrobin",
+                MinDilation: "mindilation",
+                MaxSysEff: "maxsyseff",
+                FCFS: "fcfs",
+            }
+        )
+        _POLICY_TYPES.update(
+            {
+                "fairshare": FairShare,
+                "minmax": MinMaxGamma,
+                "priority": Priority,
+            }
+        )
+    return _POLICY_TYPES
+
+
+def _native_policy(scheduler: SchedulerProtocol):
+    """Classify ``scheduler`` for the vectorized path, or ``None`` if unknown.
+
+    Returns ``(alloc, ordering, priority, gamma)`` where ``alloc`` is
+    ``"favor"`` or ``"fairshare"``, ``ordering`` names the lexsort kernel,
+    ``priority`` requests the stable started-first partition and ``gamma``
+    is the MinMax threshold (``None`` otherwise).
     """
-
-    app: Application
-    index: int = 0
-    peak: float = 0.0
-    phase: ApplicationPhase = ApplicationPhase.NOT_RELEASED
-    instance_idx: int = 0
-    executed_work: float = 0.0
-    completed_instance_work: float = 0.0
-    compute_start: float = 0.0
-    compute_end: float = math.inf
-    remaining_io: float = 0.0
-    io_started: bool = False
-    io_first_transfer: Optional[float] = None
-    io_request_time: Optional[float] = None
-    last_io_end: float = -math.inf
-    completion_time: float = math.nan
-    total_io_transferred: float = 0.0
-    current_rate: float = 0.0
-    instance_records: list[InstanceRecord] = field(default_factory=list)
-    # Fault-injection state: a recovering application is re-reading its
-    # checkpoint (``remaining_io`` holds recovery bytes, not instance I/O).
-    recovering: bool = False
-    n_crashes: int = 0
-    recovery_io: float = 0.0
-    # Fast-path bookkeeping.
-    compute_epoch: int = 0
-    view_epoch: int = 0
-    opt_instance_idx: int = -1
-    opt_value: float = 1.0
-    cached_view: Optional[ApplicationView] = None
-    cached_view_epoch: int = -1
-
-    @property
-    def done(self) -> bool:
-        return self.phase == ApplicationPhase.DONE
-
-    @property
-    def wants_io(self) -> bool:
-        return self.phase in (ApplicationPhase.IO_PENDING, ApplicationPhase.DOING_IO)
-
-    def current_instance(self):
-        return self.app.instances[self.instance_idx]
-
-
-def _entry_valid(entry: tuple[int, "_Runtime", int]) -> bool:
-    """True while a heap entry still describes a live future transition.
-
-    Release entries stay valid until the release fires; compute entries are
-    invalidated by any phase change (zero-work instances chain straight into
-    I/O) or by a later compute phase of the same application (epoch bump).
-    """
-    kind, rt, epoch = entry
-    if kind == _RELEASE:
-        return rt.phase is ApplicationPhase.NOT_RELEASED
-    return rt.phase is ApplicationPhase.COMPUTING and epoch == rt.compute_epoch
-
-
-#: Sort key for deterministic insertion-order sweeps (C-level attrgetter —
-#: it runs once per candidate per event).
-_by_index = attrgetter("index")
+    types = _policy_types()
+    fair_share_t = types["fairshare"]
+    minmax_t = types["minmax"]
+    priority_t = types["priority"]
+    t = type(scheduler)
+    if t is fair_share_t:
+        # FairShare overrides allocate() itself (interference-degraded
+        # water-filling); ordering is irrelevant.
+        return ("fairshare", None, False, None)
+    if t is minmax_t:
+        return ("favor", "minmax", False, scheduler.gamma)
+    if t in _FAVOR_ORDERINGS:
+        return ("favor", _FAVOR_ORDERINGS[t], False, None)
+    if t is priority_t:
+        inner = scheduler.inner
+        it = type(inner)
+        if it is fair_share_t:
+            # Priority inherits the generic allocate(), so the inner
+            # FairShare only contributes its identity candidate ordering.
+            return ("favor", "identity", True, None)
+        if it is minmax_t:
+            return ("favor", "minmax", True, inner.gamma)
+        if it in _FAVOR_ORDERINGS:
+            return ("favor", _FAVOR_ORDERINGS[it], True, None)
+    return None
 
 
 class Simulator:
@@ -259,185 +246,425 @@ class Simulator:
                 )
 
     # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
     def run(
         self, scheduler: SchedulerProtocol, event_log: EventLog | None = None
     ) -> SimulationResult:
         """Simulate the scenario to completion under ``scheduler``."""
+        policy = _native_policy(scheduler)
+        if policy is None:
+            # Unknown policy (custom scheduler or subclass): the columnar
+            # kernels cannot reproduce an arbitrary allocate(), so the
+            # reference engine, which drives any scheduler through views,
+            # runs the whole scenario.  Imported here: the reference
+            # imports this module's config and errors.
+            from repro.simulator.reference import ReferenceSimulator
+
+            _OBS.count(
+                "repro_engine_fallback_total", scheduler=type(scheduler).__name__
+            )
+            return ReferenceSimulator(self.scenario, self.config).run(
+                scheduler, event_log=event_log
+            )
+        alloc_kind, ordering, priority, minmax_gamma = policy
+
         scheduler.reset()
-        peak = self.platform.peak_application_bandwidth
-        runtimes = {
-            app.name: _Runtime(app=app, index=i, peak=peak(app.processors))
-            for i, app in enumerate(self.scenario)
-        }
-        bb = (
-            BurstBufferState(self.platform.burst_buffer)
-            if (self.config.use_burst_buffer and self.platform.burst_buffer)
-            else None
-        )
+        config = self.config
+        platform = self.platform
+        apps = list(self.scenario)
+        n = len(apps)
+        node_bw = float(platform.node_bandwidth)
+        system_bw = float(platform.system_bandwidth)
+        names = [app.name for app in apps]
+        index_of = {name: i for i, name in enumerate(names)}
+        interference = scheduler.interference if alloc_kind == "fairshare" else None
+
+        # ---------------- immutable per-application columns --------------
+        procs_i = [app.processors for app in apps]
+        procs_f = np.array(procs_i, dtype=np.float64)
+        procs_int = np.array(procs_i, dtype=np.int64)
+        release = np.array([app.release_time for app in apps], dtype=np.float64)
+        n_inst = [app.n_instances for app in apps]
+        peaks = [
+            platform.peak_application_bandwidth(app.processors) for app in apps
+        ]
+        # Unique rank of each name in sorted order: the deterministic final
+        # tie-break of every ordering, so lexsort produces exactly the
+        # ordering of sorted() with (..., request time, name) tuple keys.
+        name_rank = np.empty(n, dtype=np.int64)
+        for rank, i in enumerate(sorted(range(n), key=names.__getitem__)):
+            name_rank[i] = rank
+        # Congestion-free efficiency per instance prefix, accumulated with
+        # the exact add sequence of the reference's per-event
+        # sum(instances[:upto]) so the floats match bit-for-bit.
+        opt_tables: list[list[float]] = []
+        for app, peak in zip(apps, peaks):
+            works = 0.0
+            vols = 0.0
+            table: list[float] = []
+            for inst in app.instances:
+                works += inst.work
+                vols += inst.io_volume
+                denom = works + (vols / peak if peak > 0 else 0.0)
+                table.append(works / denom if denom > 0 else 1.0)
+            opt_tables.append(table)
+
+        # ---------------- mutable state columns ---------------------------
+        phase = np.full(n, _NOT_RELEASED, dtype=np.int64)
+        instance_idx = [0] * n
+        executed = np.zeros(n, dtype=np.float64)
+        completed_work = [0.0] * n
+        compute_start = np.zeros(n, dtype=np.float64)
+        compute_end = np.full(n, np.inf, dtype=np.float64)
+        remaining = np.zeros(n, dtype=np.float64)
+        rate = np.zeros(n, dtype=np.float64)
+        io_started = np.zeros(n, dtype=bool)
+        io_first = np.full(n, np.nan, dtype=np.float64)  # NaN = "no transfer yet"
+        io_req = np.full(n, np.inf, dtype=np.float64)  # inf = "no request"
+        last_io_end = np.full(n, -np.inf, dtype=np.float64)
+        completion = [math.nan] * n
+        total_io = np.zeros(n, dtype=np.float64)
+        recovering = np.zeros(n, dtype=bool)
+        n_crashes = [0] * n
+        recovery_io = np.zeros(n, dtype=np.float64)
+        opt_cur = np.array([table[0] for table in opt_tables], dtype=np.float64)
+        inst_records: list[list[InstanceRecord]] = [[] for _ in range(n)]
+        n_done = 0
+
         log = event_log if event_log is not None else (
-            EventLog() if self.config.record_events else None
+            EventLog() if config.record_events else None
         )
 
-        # Indexed engine state: the time-certain event heap (releases and
-        # compute completions), the incrementally maintained I/O-candidate
-        # list (kept sorted by insertion index — i.e. in scenario order, the
-        # order the reference engine's dict sweep produces), and the done
-        # counter replacing the all() sweep.
-        heap: EventHeap[tuple[int, _Runtime, int]] = EventHeap()
-        self._heap = heap
-        self._candidates: list[_Runtime] = []
-        self._n_done = 0
-        self._runtimes = runtimes
-        for rt in runtimes.values():
-            heap.push(rt.app.release_time, (_RELEASE, rt, 0))
+        def emit(time, event_type, app_name=None, inst_index=None):
+            if log is not None:
+                log.append(
+                    Event(
+                        time=time,
+                        event_type=event_type,
+                        app_name=app_name,
+                        instance_index=inst_index,
+                    )
+                )
 
-        # Fault injection: one forward-only timeline cursor per run — the
-        # same :class:`FaultTimeline` the reference engine drives, so the
-        # fault arithmetic is shared rather than reimplemented.
+        # ---------------- scalar transition cascade -----------------------
+        # These closures mirror the reference's transition methods line for
+        # line; they run only for the few applications due at each event.
+
+        def start_compute(i, time):
+            inst = apps[i].instances[instance_idx[i]]
+            phase[i] = _COMPUTING
+            compute_start[i] = time
+            compute_end[i] = time + inst.work
+            rate[i] = 0.0
+            if inst.work <= _TIME_EPS:
+                executed[i] += inst.work
+                request_io(i, time)
+
+        def request_io(i, time):
+            inst = apps[i].instances[instance_idx[i]]
+            if time < compute_end[i]:
+                compute_end[i] = time
+            if inst.io_volume <= _VOLUME_EPS:
+                # Instance without I/O: complete as soon as computation ends.
+                remaining[i] = 0.0
+                io_req[i] = np.inf
+                io_first[i] = np.nan
+                phase[i] = _IO_PENDING
+                complete_instance(i, time)
+                return
+            phase[i] = _IO_PENDING
+            remaining[i] = inst.io_volume
+            io_started[i] = False
+            io_first[i] = np.nan
+            io_req[i] = time
+            rate[i] = 0.0
+            emit(time, EventType.IO_REQUEST, names[i], instance_idx[i])
+
+        def complete_instance(i, time):
+            nonlocal n_done
+            idx = instance_idx[i]
+            inst = apps[i].instances[idx]
+            first = float(io_first[i])
+            cs = float(compute_start[i])
+            inst_records[i].append(
+                InstanceRecord(
+                    index=idx,
+                    work=inst.work,
+                    io_volume=inst.io_volume,
+                    compute_start=cs,
+                    compute_end=cs + inst.work,
+                    io_first_transfer=None if math.isnan(first) else first,
+                    io_end=time,
+                )
+            )
+            if inst.io_volume > _VOLUME_EPS:
+                emit(time, EventType.IO_COMPLETE, names[i], idx)
+            completed_work[i] += inst.work
+            last_io_end[i] = time
+            remaining[i] = 0.0
+            rate[i] = 0.0
+            io_started[i] = False
+            io_first[i] = np.nan
+            io_req[i] = np.inf
+            instance_idx[i] = idx + 1
+            opt_cur[i] = opt_tables[i][min(idx + 2, n_inst[i]) - 1]
+            if idx + 1 >= n_inst[i]:
+                phase[i] = _DONE
+                completion[i] = time
+                n_done += 1
+                emit(time, EventType.APP_COMPLETE, names[i])
+            else:
+                start_compute(i, time)
+
+        def finish_recovery(i, time):
+            recovering[i] = False
+            remaining[i] = 0.0
+            rate[i] = 0.0
+            io_started[i] = False
+            io_first[i] = np.nan
+            io_req[i] = np.inf
+            emit(time, EventType.APP_RESTART, names[i], instance_idx[i])
+            start_compute(i, time)
+
+        def apply_crash(i, crash, time):
+            p = phase[i]
+            if p == _DONE or p == _NOT_RELEASED:
+                return
+            n_crashes[i] += 1
+            emit(time, EventType.APP_CRASH, names[i], instance_idx[i])
+            if p != _COMPUTING and not recovering[i]:
+                # The instance's compute chunk was credited at compute end;
+                # the crash loses it (a COMPUTING application was never
+                # credited, so there is nothing to subtract there).
+                executed[i] -= apps[i].instances[instance_idx[i]].work
+            recovering[i] = True
+            phase[i] = _IO_PENDING
+            remaining[i] = crash.checkpoint_io
+            io_started[i] = False
+            io_first[i] = np.nan
+            io_req[i] = time
+            rate[i] = 0.0
+
         faults = self.scenario.faults
         timeline = FaultTimeline(faults) if faults is not None else None
-        self._timeline = timeline
+
+        def process_transitions(time):
+            # Crashes fire before the ordinary transitions of the instant.
+            if timeline is not None:
+                for crash in timeline.pop_due_crashes(time):
+                    i = index_of.get(crash.app_name)
+                    if i is not None:
+                        apply_crash(i, crash, time)
+            # One vectorized sweep finds every application with a due
+            # transition; the scalar cascade below then re-applies the
+            # reference's three sequential checks per due application, so
+            # same-instant chains (release → zero-work compute → zero-volume
+            # I/O → next instance) fire exactly as in the reference.  No
+            # transition has cross-application effects, so an application
+            # outside the mask cannot become due during the sweep.
+            slack = time + _TIME_EPS
+            due = (
+                ((phase == _NOT_RELEASED) & (release <= slack))
+                | ((phase == _COMPUTING) & (compute_end <= slack))
+                | (
+                    ((phase == _IO_PENDING) | (phase == _DOING_IO))
+                    & (remaining <= _VOLUME_EPS)
+                )
+            )
+            for i in np.nonzero(due)[0].tolist():
+                if phase[i] == _NOT_RELEASED and release[i] <= slack:
+                    emit(time, EventType.APP_RELEASE, names[i])
+                    start_compute(i, time)
+                if phase[i] == _COMPUTING and compute_end[i] <= slack:
+                    executed[i] += apps[i].instances[instance_idx[i]].work
+                    request_io(i, time)
+                if (
+                    phase[i] == _IO_PENDING or phase[i] == _DOING_IO
+                ) and remaining[i] <= _VOLUME_EPS:
+                    if recovering[i]:
+                        finish_recovery(i, time)
+                    else:
+                        complete_instance(i, time)
+
+        # ---------------- allocation kernels -------------------------------
+        def fair_rates(cand, total):
+            """Vectorized closed-form fair share (bandwidth.fair_share)."""
+            if not cand.size or total <= _BW_EPS:
+                return np.zeros(cand.size, dtype=np.float64)
+            total_procs = int(procs_int[cand].sum())  # int sum: exact
+            share = float(total) / total_procs
+            if share >= node_bw:
+                gamma = node_bw if node_bw > _BW_EPS else 0.0
+            else:
+                gamma = share if share > _BW_EPS else 0.0
+            return gamma * procs_f[cand]
+
+        def candidate_order(cand, time):
+            """Permutation of ``cand`` matching the scheduler's ordering."""
+            if ordering == "identity":
+                order = np.arange(cand.size)
+            else:
+                nm = name_rank[cand]
+                req = io_req[cand]
+                if ordering == "fcfs":
+                    order = np.lexsort((nm, req))
+                elif ordering == "roundrobin":
+                    order = np.lexsort((nm, req, last_io_end[cand]))
+                else:
+                    opt = opt_cur[cand]
+                    el = time - release[cand]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ach = np.where(el > _TIME_EPS, executed[cand] / el, opt)
+                        ratio = np.where(
+                            opt <= 0.0, 1.0, np.minimum(1.0, ach / opt)
+                        )
+                    if ordering == "mindilation":
+                        order = np.lexsort((nm, req, ratio))
+                    elif ordering == "maxsyseff":
+                        order = np.lexsort((nm, req, -(procs_f[cand] * ach)))
+                    else:  # minmax: rescue the starved first, then MaxSysEff
+                        pf = procs_f[cand]
+                        starved = ratio < minmax_gamma
+                        s_pos = np.nonzero(starved)[0]
+                        h_pos = np.nonzero(~starved)[0]
+                        s_ord = s_pos[
+                            np.lexsort((nm[s_pos], req[s_pos], ratio[s_pos]))
+                        ]
+                        h_ord = h_pos[
+                            np.lexsort(
+                                (nm[h_pos], req[h_pos], -(pf[h_pos] * ach[h_pos]))
+                            )
+                        ]
+                        order = np.concatenate((s_ord, h_ord))
+            if priority:
+                st = io_started[cand][order]
+                order = np.concatenate((order[st], order[~st]))
+            return order
+
+        # ---------------- main loop ---------------------------------------
         fault_factor = 1.0
         fault_brownout = 0.0
         fault_blackout = 0.0
         fault_stall = 0.0
-
-        time = min(app.release_time for app in self.scenario)
+        time = min(app.release_time for app in apps)
         n_events = 0
-        self._n_allocations = 0
-        self._view_hits = 0
-        self._view_rebuilds = 0
+        n_allocations = 0
         time_bb_full = 0.0
-        n_total = len(runtimes)
-        io_active: list[_Runtime] = []
+        max_time = config.max_time
+        max_events = config.max_events
+        bb = (
+            BurstBufferState(platform.burst_buffer)
+            if (config.use_burst_buffer and platform.burst_buffer)
+            else None
+        )
 
-        # Release / start whatever is due at the initial instant.
-        self._fire_due(time, log)
+        process_transitions(time)
 
-        while self._n_done < n_total:
+        while n_done < n:
             n_events += 1
-            if n_events > self.config.max_events:
+            if n_events > max_events:
                 raise SimulationError(
-                    f"exceeded max_events={self.config.max_events}; "
+                    f"exceeded max_events={max_events}; "
                     "the scheduler is probably thrashing"
                 )
 
             # ---------------- allocation for the coming interval ----------
-            candidates = self._candidates
-            bb_ingest_rates: dict[str, float] = {}
+            wants = (phase == _IO_PENDING) | (phase == _DOING_IO)
+            cand = np.nonzero(wants)[0]
+            k = cand.size
             drain = bb.drain_rate() if bb is not None else 0.0
             if timeline is None:
-                available = max(0.0, self.platform.system_bandwidth - drain)
+                available = max(0.0, system_bw - drain)
             else:
-                # A brown-out degrades the shared PFS only; the per-node cap
-                # and the burst-buffer ingest fabric stay fault-free.
                 fault_factor = timeline.factor_at(time)
-                available = max(
-                    0.0, self.platform.system_bandwidth * fault_factor - drain
-                )
+                available = max(0.0, system_bw * fault_factor - drain)
 
-            if bb is not None and bb.can_absorb() and candidates:
-                # Writes are absorbed by the burst buffer: fair share of the
-                # ingest fabric, no scheduler involvement, no PFS bandwidth.
-                views = [self._view_of(rt, time) for rt in candidates]
-                alloc = fair_share(
-                    views, self.platform.node_bandwidth, bb.ingest_capacity()
-                )
-                for rt in candidates:
-                    bb_ingest_rates[rt.app.name] = alloc.gamma(rt.app.name) * rt.app.processors
-                allocation = alloc
-            elif candidates:
-                view = self._system_view(runtimes, time, available)
-                self._n_allocations += 1
-                allocation = scheduler.allocate(view)
-                if not isinstance(allocation, BandwidthAllocation):
-                    raise SimulationError(
-                        f"scheduler {scheduler.name!r} returned "
-                        f"{type(allocation).__name__}, expected BandwidthAllocation"
-                    )
-                allocation.validate(self.platform, self._app_map, capacity=available)
-            else:
-                allocation = BandwidthAllocation.empty()
-
-            # Apply the allocation; collect the applications that actually
-            # hold bandwidth this interval (the only ones whose I/O state
-            # evolves before the next event).
             total_ingest = 0.0
-            prev_active = io_active
-            io_active = []
-            if bb_ingest_rates:
-                # Burst-buffer absorption: sweep the candidates in scenario
-                # order so ``total_ingest`` accumulates in exactly the order
-                # the reference engine uses (float addition is order
-                # sensitive, and the total feeds the pool's transitions).
-                for rt in candidates:
-                    rate = bb_ingest_rates.get(rt.app.name, 0.0)
-                    total_ingest += rate
-                    rt.current_rate = rate
-                    if rate > 0:
-                        if rt.io_first_transfer is None:
-                            rt.io_first_transfer = time
-                        rt.io_started = True
-                        rt.phase = ApplicationPhase.DOING_IO
-                        # The advance loop below bumps the view epoch for
-                        # every active transfer, covering these mutations.
-                        io_active.append(rt)
-                    else:
-                        if rt.phase is not ApplicationPhase.IO_PENDING:
-                            rt.view_epoch += 1
-                        rt.phase = ApplicationPhase.IO_PENDING
-            else:
-                # Fast path: only touch the applications whose assignment
-                # changed — the served ones (allocations carry strictly
-                # positive gammas by construction) and the previously active
-                # ones that just lost their bandwidth.  Zero bandwidth means
-                # pending: whether the transfer already started or not, an
-                # interrupted application does not keep the DOING_IO flag.
-                served = allocation.per_processor_bandwidth
-                for rt in prev_active:
-                    if (
-                        rt.phase is ApplicationPhase.DOING_IO
-                        and rt.app.name not in served
-                    ):
-                        rt.current_rate = 0.0
-                        rt.view_epoch += 1
-                        rt.phase = ApplicationPhase.IO_PENDING
-                for name, gamma in served.items():
-                    rt = runtimes[name]
-                    phase = rt.phase
-                    if (
-                        phase is not ApplicationPhase.IO_PENDING
-                        and phase is not ApplicationPhase.DOING_IO
-                    ):
-                        # Allocations to non-candidates were silently inert
-                        # in the reference engine's candidate sweep; keep
-                        # ignoring them.
-                        continue
-                    rt.current_rate = gamma * rt.app.processors
-                    if rt.io_first_transfer is None:
-                        rt.io_first_transfer = time
-                    rt.io_started = True
-                    rt.phase = ApplicationPhase.DOING_IO
-                    io_active.append(rt)
+            if k:
+                n_allocations += 1
+                rate[cand] = 0.0
+                if bb is not None and bb.can_absorb():
+                    cand_rates = fair_rates(cand, bb.ingest_capacity())
+                    rate[cand] = cand_rates
+                    # Sequential sum in candidate (= declaration) order: the
+                    # reference accumulates the ingest total one rate at a
+                    # time, and float addition rounds per step.
+                    for r in cand_rates.tolist():
+                        total_ingest += r
+                elif alloc_kind == "fairshare":
+                    effective = interference.effective_bandwidth(available, k)
+                    rate[cand] = fair_rates(cand, effective)
+                else:
+                    # Greedy favouring in priority order — an ordered
+                    # sequential loop by definition (each grant rounds the
+                    # remaining capacity before the next), mirroring
+                    # bandwidth.favor_in_order float for float.
+                    rem = available
+                    for i in cand[candidate_order(cand, time)].tolist():
+                        if rem <= _BW_EPS:
+                            break
+                        p = procs_i[i]
+                        gamma = rem / p
+                        if gamma > node_bw:
+                            gamma = node_bw
+                        if gamma <= _BW_EPS:
+                            continue
+                        r = gamma * p
+                        rate[i] = r
+                        rem -= r
+                # Apply: transferring candidates hold bandwidth, the rest
+                # are pending (an interrupted transfer drops DOING_IO).
+                served = rate[cand] > 0.0
+                scand = cand[served]
+                fresh = scand[np.isnan(io_first[scand])]
+                io_first[fresh] = time
+                io_started[scand] = True
+                phase[scand] = _DOING_IO
+                phase[cand[~served]] = _IO_PENDING
 
             # ---------------- find the next event -------------------------
-            dt = self._next_event_delta(io_active, bb, total_ingest, time)
-            if dt is None:
-                if candidates:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                app_delta = np.where(
+                    phase == _NOT_RELEASED,
+                    np.maximum(0.0, release - time),
+                    np.where(
+                        phase == _COMPUTING,
+                        np.maximum(0.0, compute_end - time),
+                        np.where(
+                            wants & (rate > 0.0), remaining / rate, np.inf
+                        ),
+                    ),
+                )
+            deltas = []
+            best = float(app_delta.min())
+            if best < math.inf:
+                deltas.append(best)
+            if bb is not None:
+                transition = bb.next_transition(total_ingest)
+                if transition is not None:
+                    deltas.append(transition)
+            if timeline is not None:
+                boundary = timeline.next_boundary(time)
+                if boundary is not None:
+                    deltas.append(boundary - time)
+                crash_time = timeline.peek_crash_time()
+                if crash_time is not None:
+                    deltas.append(max(0.0, crash_time - time))
+            eligible = [d for d in deltas if d >= 0.0]
+            if not eligible:
+                if k:
                     raise StallError(
                         _stall_message(
                             scheduler.name,
-                            [rt.app.name for rt in candidates],
+                            [names[i] for i in cand.tolist()],
                             time,
                             timeline,
                         )
                     )
                 raise SimulationError("no future event but applications remain")
+            dt = max(min(eligible), _TIME_EPS)
 
-            if time + dt > self.config.max_time:
-                dt = self.config.max_time - time
+            if time + dt > max_time:
+                dt = max_time - time
                 if dt <= _TIME_EPS:
                     break
 
@@ -445,37 +672,59 @@ class Simulator:
                 fault_brownout += dt
                 if fault_factor <= 0.0:
                     fault_blackout += dt
-                if candidates:
+                if k:
                     fault_stall += dt
 
             # ---------------- advance the interval ------------------------
-            for rt in io_active:
-                # Clamp to the remaining volume: when the interval is cut
-                # by an unrelated event the transfer may finish inside it,
-                # and the excess must not be counted as moved bytes.
-                moved = min(rt.current_rate * dt, rt.remaining_io)
-                rt.remaining_io = max(0.0, rt.remaining_io - moved)
-                rt.total_io_transferred += moved
-                if rt.recovering:
-                    rt.recovery_io += moved
-                rt.view_epoch += 1
+            active = np.nonzero(wants & (rate > 0.0))[0]
+            if active.size:
+                rem_a = remaining[active]
+                moved = np.minimum(rate[active] * dt, rem_a)
+                remaining[active] = np.maximum(0.0, rem_a - moved)
+                total_io[active] += moved
+                rec = recovering[active]
+                if rec.any():
+                    recovery_io[active[rec]] += moved[rec]
             if bb is not None:
                 if not bb.can_absorb():
                     time_bb_full += dt
                 bb.advance(dt, total_ingest)
             time += dt
 
-            # ---------------- fire transitions at the new time ------------
-            self._fire_due(time, log, io_active)
+            process_transitions(time)
 
-            if time >= self.config.max_time:
+            if time >= max_time:
                 break
 
-        self._finalize_truncated(runtimes, min(time, self.config.max_time))
-
-        records = {
-            name: self._record_of(rt) for name, rt in runtimes.items()
-        }
+        # ---------------- records and statistics ---------------------------
+        final_time = min(time, max_time)
+        for i in range(n):
+            if phase[i] != _DONE:
+                completion[i] = final_time
+                phase[i] = _DONE
+        records = {}
+        for i, app in enumerate(apps):
+            peak = peaks[i]
+            if instance_idx[i] >= n_inst[i]:
+                dedicated_io_time = (
+                    app.total_io_volume / peak if peak > 0 else 0.0
+                )
+                executed_work = app.total_work
+            else:
+                dedicated_io_time = (
+                    float(total_io[i]) / peak if peak > 0 else 0.0
+                )
+                executed_work = completed_work[i]
+            records[names[i]] = ApplicationRecord(
+                application=app,
+                release_time=app.release_time,
+                completion_time=completion[i],
+                executed_work=executed_work,
+                dedicated_io_time=dedicated_io_time,
+                total_io_transferred=float(total_io[i]),
+                instances=list(inst_records[i]),
+                restarts=n_crashes[i],
+            )
         makespan = max(rec.completion_time for rec in records.values())
         bb_stats = None
         if bb is not None:
@@ -487,429 +736,33 @@ class Simulator:
             )
         fault_stats = None
         if timeline is not None:
+            recovery_total = 0.0
+            for v in recovery_io.tolist():
+                recovery_total += v
             fault_stats = FaultStats(
-                n_crashes=sum(rt.n_crashes for rt in runtimes.values()),
+                n_crashes=sum(n_crashes),
                 restarts={
-                    rt.app.name: rt.n_crashes
-                    for rt in runtimes.values()
-                    if rt.n_crashes
+                    names[i]: n_crashes[i] for i in range(n) if n_crashes[i]
                 },
                 brownout_time=fault_brownout,
                 blackout_time=fault_blackout,
                 stall_time=fault_stall,
-                recovery_io=sum(rt.recovery_io for rt in runtimes.values()),
+                recovery_io=recovery_total,
             )
         if _OBS.enabled:
             # One flush per run: the loop above only bumped local ints.
-            _OBS.count(
-                "repro_engine_allocations_total",
-                float(self._n_allocations), engine="heap",
-            )
-            _OBS.count(
-                "repro_engine_view_cache_hits_total",
-                float(self._view_hits), engine="heap",
-            )
-            _OBS.count(
-                "repro_engine_view_cache_rebuilds_total",
-                float(self._view_rebuilds), engine="heap",
-            )
-            _OBS.count(
-                "repro_engine_events_total", float(n_events), engine="heap"
-            )
+            _OBS.count("repro_engine_allocations_total", float(n_allocations))
+            _OBS.count("repro_engine_events_total", float(n_events))
         return SimulationResult(
             scenario_label=self.scenario.label,
             scheduler_name=scheduler.name,
-            platform=self.platform,
+            platform=platform,
             records=records,
             makespan=makespan,
             n_events=n_events,
             burst_buffer=bb_stats,
             fault_stats=fault_stats,
         )
-
-    # ------------------------------------------------------------------ #
-    # State transitions
-    # ------------------------------------------------------------------ #
-    def _fire_due(
-        self, time: float, log: EventLog | None, io_active: list[_Runtime] | tuple = ()
-    ) -> None:
-        """Fire every transition due at ``time``.
-
-        Due applications come from two indexed sources — heap entries
-        (releases, compute completions) and finished transfers among the
-        interval's active I/O — instead of a full sweep.  They are fired in
-        insertion order, matching the reference engine's dict-order sweep so
-        that event logs serialize identically.
-        """
-        crashed: list[_Runtime] = []
-        if self._timeline is not None:
-            # Crashes fire before the ordinary transitions of the same
-            # instant: an instance whose I/O "just finished" when its
-            # application dies is lost, deterministically, in both engines.
-            runtimes = self._runtimes
-            for crash in self._timeline.pop_due_crashes(time):
-                rt = runtimes.get(crash.app_name)
-                if rt is not None and self._apply_crash(rt, crash, time, log):
-                    crashed.append(rt)
-        due = self._heap.pop_due(time + _TIME_EPS, _entry_valid)
-        fired = [entry[1] for entry in due]
-        fired.extend(crashed)
-        for rt in io_active:
-            if rt.remaining_io <= _VOLUME_EPS:
-                fired.append(rt)
-        if len(fired) > 1:
-            # Heap-due (NOT_RELEASED / COMPUTING) and transfer-due (I/O
-            # phases) populations are disjoint, so no deduplication needed —
-            # except for crashed runtimes, which can coincide with a
-            # transfer-due entry (a ~zero-byte checkpoint re-read) or repeat
-            # (two crashes of one application at the same instant).
-            fired.sort(key=_by_index)
-            if crashed:
-                deduped = [fired[0]]
-                for rt in fired[1:]:
-                    if rt is not deduped[-1]:
-                        deduped.append(rt)
-                fired = deduped
-        for rt in fired:
-            self._transition(rt, time, log)
-
-    def _transition(self, rt: _Runtime, time: float, log: EventLog | None) -> None:
-        """The per-application transition cascade (release → compute → I/O).
-
-        The three sequential checks replicate one iteration of the reference
-        engine's sweep: a release may start a compute phase that is already
-        over (tiny work), which in turn may request I/O that is already
-        complete (tiny volume) — every step of the chain fires at the same
-        instant.
-        """
-        if (
-            rt.phase is ApplicationPhase.NOT_RELEASED
-            and rt.app.release_time <= time + _TIME_EPS
-        ):
-            self._log(log, time, EventType.APP_RELEASE, rt.app.name)
-            self._start_compute(rt, time, log)
-        if (
-            rt.phase is ApplicationPhase.COMPUTING
-            and rt.compute_end <= time + _TIME_EPS
-        ):
-            rt.executed_work += rt.current_instance().work
-            rt.view_epoch += 1
-            self._request_io(rt, time, log)
-        if rt.wants_io and rt.remaining_io <= _VOLUME_EPS:
-            if rt.recovering:
-                self._finish_recovery(rt, time, log)
-            else:
-                self._complete_instance(rt, time, log)
-
-    def _apply_crash(
-        self, rt: _Runtime, crash: CrashEvent, time: float, log: EventLog | None
-    ) -> bool:
-        """Crash ``rt``: discard the in-flight instance, queue recovery I/O.
-
-        Returns True when the crash actually landed (crashes aimed at
-        applications outside the system — not yet released, or already done
-        — are no-ops).  A crash during recovery restarts the checkpoint
-        re-read from scratch.
-        """
-        phase = rt.phase
-        if phase is ApplicationPhase.DONE or phase is ApplicationPhase.NOT_RELEASED:
-            return False
-        rt.n_crashes += 1
-        self._log(log, time, EventType.APP_CRASH, rt.app.name, rt.instance_idx)
-        if phase is ApplicationPhase.COMPUTING:
-            # Invalidate the pending compute-end heap entry; the application
-            # becomes an I/O candidate (the recovery read) instead.
-            rt.compute_epoch += 1
-            insort(self._candidates, rt, key=_by_index)
-        elif not rt.recovering:
-            # The instance's compute chunk was credited at compute end; the
-            # crash loses that progress (partial compute progress of a
-            # COMPUTING application was never credited, so there is nothing
-            # to subtract there).
-            rt.executed_work -= rt.current_instance().work
-        rt.recovering = True
-        rt.phase = ApplicationPhase.IO_PENDING
-        rt.remaining_io = crash.checkpoint_io
-        rt.io_started = False
-        rt.io_first_transfer = None
-        rt.io_request_time = time
-        rt.current_rate = 0.0
-        rt.view_epoch += 1
-        return True
-
-    def _finish_recovery(self, rt: _Runtime, time: float, log: EventLog | None) -> None:
-        """Checkpoint re-read done: restart the crashed instance from scratch."""
-        rt.recovering = False
-        rt.remaining_io = 0.0
-        rt.current_rate = 0.0
-        rt.io_started = False
-        rt.io_first_transfer = None
-        rt.io_request_time = None
-        rt.view_epoch += 1
-        candidates = self._candidates
-        i = bisect_left(candidates, rt.index, key=_by_index)
-        if i < len(candidates) and candidates[i] is rt:
-            del candidates[i]
-        self._log(log, time, EventType.APP_RESTART, rt.app.name, rt.instance_idx)
-        self._start_compute(rt, time, log)
-
-    def _start_compute(self, rt: _Runtime, time: float, log: EventLog | None) -> None:
-        inst = rt.current_instance()
-        rt.phase = ApplicationPhase.COMPUTING
-        rt.compute_start = time
-        rt.compute_end = time + inst.work
-        rt.current_rate = 0.0
-        rt.compute_epoch += 1
-        rt.view_epoch += 1
-        if inst.work <= _TIME_EPS:
-            rt.executed_work += inst.work
-            self._request_io(rt, time, log)
-        else:
-            self._heap.push(rt.compute_end, (_COMPUTE_END, rt, rt.compute_epoch))
-
-    def _request_io(self, rt: _Runtime, time: float, log: EventLog | None) -> None:
-        inst = rt.current_instance()
-        rt.compute_end = min(rt.compute_end, time)
-        rt.view_epoch += 1
-        if inst.io_volume <= _VOLUME_EPS:
-            # Instance without I/O: it is complete as soon as computation ends.
-            rt.remaining_io = 0.0
-            rt.io_request_time = None
-            rt.io_first_transfer = None
-            rt.phase = ApplicationPhase.IO_PENDING
-            self._complete_instance(rt, time, log)
-            return
-        rt.phase = ApplicationPhase.IO_PENDING
-        rt.remaining_io = inst.io_volume
-        rt.io_started = False
-        rt.io_first_transfer = None
-        rt.io_request_time = time
-        rt.current_rate = 0.0
-        insort(self._candidates, rt, key=_by_index)
-        self._log(log, time, EventType.IO_REQUEST, rt.app.name, rt.instance_idx)
-
-    def _complete_instance(self, rt: _Runtime, time: float, log: EventLog | None) -> None:
-        inst = rt.current_instance()
-        rt.instance_records.append(
-            InstanceRecord(
-                index=rt.instance_idx,
-                work=inst.work,
-                io_volume=inst.io_volume,
-                compute_start=rt.compute_start,
-                compute_end=rt.compute_start + inst.work,
-                io_first_transfer=rt.io_first_transfer,
-                io_end=time,
-            )
-        )
-        if inst.io_volume > _VOLUME_EPS:
-            self._log(log, time, EventType.IO_COMPLETE, rt.app.name, rt.instance_idx)
-        rt.completed_instance_work += inst.work
-        rt.last_io_end = time
-        rt.remaining_io = 0.0
-        rt.current_rate = 0.0
-        rt.io_started = False
-        rt.io_first_transfer = None
-        rt.io_request_time = None
-        rt.instance_idx += 1
-        rt.view_epoch += 1
-        # Remove from the sorted candidate list (a no-op when the instance
-        # completed without ever becoming a candidate, e.g. zero I/O volume).
-        candidates = self._candidates
-        i = bisect_left(candidates, rt.index, key=_by_index)
-        if i < len(candidates) and candidates[i] is rt:
-            del candidates[i]
-        if rt.instance_idx >= rt.app.n_instances:
-            rt.phase = ApplicationPhase.DONE
-            rt.completion_time = time
-            self._n_done += 1
-            self._log(log, time, EventType.APP_COMPLETE, rt.app.name)
-        else:
-            self._start_compute(rt, time, log)
-
-    # ------------------------------------------------------------------ #
-    # Event horizon
-    # ------------------------------------------------------------------ #
-    def _next_event_delta(
-        self,
-        io_active: list[_Runtime],
-        bb: BurstBufferState | None,
-        total_ingest: float,
-        time: float,
-    ) -> Optional[float]:
-        """Seconds until the next event, or None if nothing will ever happen.
-
-        The earliest time-certain event is a heap peek (lazy invalidation
-        drops stale entries), active transfers contribute their completion
-        deltas, and the burst buffer its next behavioural transition — no
-        full sweep.  Clamping the minimum at ``_TIME_EPS`` makes zero-length
-        deltas (a transition due "now" after floating-point rounding) still
-        advance time instead of looping forever, and the per-source clamp at
-        0 keeps a past-due event from being skipped in favour of a later one.
-        """
-        deltas: list[float] = []
-        next_certain = self._heap.peek_time(_entry_valid)
-        if next_certain is not None:
-            deltas.append(max(0.0, next_certain - time))
-        for rt in io_active:
-            deltas.append(rt.remaining_io / rt.current_rate)
-        if bb is not None:
-            transition = bb.next_transition(total_ingest)
-            if transition is not None:
-                deltas.append(transition)
-        if self._timeline is not None:
-            # Fault breakpoints are time-certain events: the interval must be
-            # cut at every degradation-factor change and at every crash so
-            # rates stay piecewise-constant between events.
-            boundary = self._timeline.next_boundary(time)
-            if boundary is not None:
-                deltas.append(boundary - time)
-            crash_time = self._timeline.peek_crash_time()
-            if crash_time is not None:
-                deltas.append(max(0.0, crash_time - time))
-        eligible = [d for d in deltas if d >= 0.0]
-        if not eligible:
-            return None
-        return max(min(eligible), _TIME_EPS)
-
-    # ------------------------------------------------------------------ #
-    # Views and records
-    # ------------------------------------------------------------------ #
-    def _view_of(self, rt: _Runtime, time: float) -> ApplicationView:
-        app = rt.app
-        idx = rt.instance_idx
-        # Optimal efficiency over the instances seen so far (at least one):
-        # an O(1) lookup in the application's cached prefix sums, memoized
-        # until the application advances to its next instance.
-        if rt.opt_instance_idx != idx:
-            upto = min(idx + 1, len(app.instances))
-            works = app.cumulative_work[upto - 1]
-            vols = app.cumulative_io_volume[upto - 1]
-            peak = rt.peak
-            denom = works + (vols / peak if peak > 0 else 0.0)
-            rt.opt_value = works / denom if denom > 0 else 1.0
-            rt.opt_instance_idx = idx
-        optimal = rt.opt_value
-        elapsed = time - app.release_time
-        if elapsed > _TIME_EPS:
-            # Use the work of every *finished compute chunk* (not only fully
-            # completed instances): an application that just spent w seconds
-            # computing has made real progress even though its instance's I/O
-            # is still pending, and the heuristics' rankings degenerate (every
-            # first-instance application ties at zero) if that progress is
-            # ignored.  At completion time the two definitions coincide.
-            achieved = rt.executed_work / elapsed
-        else:
-            achieved = optimal
-        # Reuse the memoized view when nothing observable changed: the epoch
-        # guards every state field, and the achieved efficiency (the one
-        # quantity that drifts with time alone) is compared explicitly — it
-        # is constant for unreleased applications and for applications that
-        # have not finished a compute chunk yet.  When ONLY the achieved
-        # efficiency moved (an idle candidate or a computing application
-        # aging between events — the majority of rebuilds), clone the cached
-        # view with a C-level dict copy instead of re-assembling all twelve
-        # fields.
-        cached = rt.cached_view
-        if cached is not None and rt.cached_view_epoch == rt.view_epoch:
-            self._view_hits += 1
-            if cached.achieved_efficiency == achieved:
-                return cached
-            fields = dict(cached.__dict__)
-            fields["achieved_efficiency"] = achieved
-            view = ApplicationView._build_fast(fields)
-            rt.cached_view = view
-            return view
-        self._view_rebuilds += 1
-        phase = rt.phase
-        wants = (
-            phase is ApplicationPhase.IO_PENDING
-            or phase is ApplicationPhase.DOING_IO
-        )
-        view = ApplicationView._build_fast(
-            {
-                "name": app.name,
-                "processors": app.processors,
-                "phase": phase,
-                "remaining_io_volume": rt.remaining_io if wants else 0.0,
-                "io_started": rt.io_started,
-                "achieved_efficiency": achieved,
-                "optimal_efficiency": optimal,
-                "last_io_end": rt.last_io_end,
-                "io_request_time": rt.io_request_time,
-                "instance_index": idx,
-                "n_instances": len(app.instances),
-                "total_io_transferred": rt.total_io_transferred,
-            }
-        )
-        rt.cached_view = view
-        rt.cached_view_epoch = rt.view_epoch
-        return view
-
-    def _system_view(
-        self, runtimes: dict[str, _Runtime], time: float, available: float
-    ) -> SystemView:
-        view_of = self._view_of
-        done = ApplicationPhase.DONE
-        views = tuple(
-            [view_of(rt, time) for rt in runtimes.values() if rt.phase is not done]
-        )
-        return SystemView._build_fast(
-            {
-                "time": time,
-                "platform": self.platform,
-                "available_bandwidth": available,
-                "applications": views,
-            }
-        )
-
-    def _finalize_truncated(self, runtimes: dict[str, _Runtime], time: float) -> None:
-        """Assign completion data to applications cut off by ``max_time``."""
-        for rt in runtimes.values():
-            if not rt.done:
-                rt.completion_time = time
-                rt.phase = ApplicationPhase.DONE
-
-    def _record_of(self, rt: _Runtime) -> ApplicationRecord:
-        app = rt.app
-        peak = self.platform.peak_application_bandwidth(app.processors)
-        finished_all = rt.instance_idx >= app.n_instances
-        if finished_all:
-            dedicated_io_time = app.total_io_volume / peak if peak > 0 else 0.0
-            executed_work = app.total_work
-        else:
-            # Truncated run: score the work and I/O actually performed, so the
-            # efficiency ratio compares like with like.
-            dedicated_io_time = rt.total_io_transferred / peak if peak > 0 else 0.0
-            executed_work = rt.completed_instance_work
-        return ApplicationRecord(
-            application=app,
-            release_time=app.release_time,
-            completion_time=rt.completion_time,
-            executed_work=executed_work,
-            dedicated_io_time=dedicated_io_time,
-            total_io_transferred=rt.total_io_transferred,
-            instances=list(rt.instance_records),
-            restarts=rt.n_crashes,
-        )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _log(
-        log: EventLog | None,
-        time: float,
-        event_type: EventType,
-        app_name: str | None = None,
-        instance_index: int | None = None,
-    ) -> None:
-        if log is not None:
-            log.append(
-                Event(
-                    time=time,
-                    event_type=event_type,
-                    app_name=app_name,
-                    instance_index=instance_index,
-                )
-            )
 
 
 def simulate(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.core.allocation import BandwidthAllocation
 from repro.core.platform import Platform
@@ -88,26 +88,9 @@ class ApplicationView:
     def wants_io(self) -> bool:
         """True when the application is ready to transfer (pending or active)."""
         # Identity checks on the enum members: this predicate runs once per
-        # application per event in the engine's hot path.
+        # application per scheduling event.
         phase = self.phase
         return phase is ApplicationPhase.IO_PENDING or phase is ApplicationPhase.DOING_IO
-
-    @classmethod
-    def _build_fast(cls, fields: dict[str, Any]) -> "ApplicationView":
-        """Engine-internal constructor bypassing the frozen-dataclass ``__init__``.
-
-        A simulation builds one view per live application per event — millions
-        over a large run — and the generated ``__init__`` pays one guarded
-        ``object.__setattr__`` per field.  Installing ``fields`` directly as
-        the instance ``__dict__`` is several times cheaper and produces an
-        object indistinguishable from a normally constructed one (same
-        fields, equality, hashing and repr).  ``fields`` must contain exactly
-        the dataclass fields; the view takes ownership of the dict — callers
-        must not mutate it afterwards.
-        """
-        view = object.__new__(cls)
-        object.__setattr__(view, "__dict__", fields)
-        return view
 
     @property
     def efficiency_ratio(self) -> float:
@@ -125,11 +108,7 @@ class ApplicationView:
         """``(request time or inf, name)`` — the shared deterministic tie-break.
 
         Every heuristic ordering ends with this pair; it is computed once
-        and cached on the view, which the engine's view reuse turns into a
-        per-*event* cost instead of a per-*sort* one.  The cache only
-        depends on ``io_request_time`` and ``name``, so the engine's
-        efficiency-only view clone (which copies the ``__dict__`` wholesale)
-        can safely carry it over.
+        and cached on the view, so the sorts of one event pay for it once.
         """
         key: Optional[tuple[float, str]] = self.__dict__.get("_order_key")
         if key is None:
@@ -161,19 +140,6 @@ class SystemView:
     platform: Platform
     available_bandwidth: float
     applications: tuple[ApplicationView, ...]
-
-    @classmethod
-    def _build_fast(cls, fields: dict[str, Any]) -> "SystemView":
-        """Engine-internal constructor bypassing the frozen-dataclass ``__init__``.
-
-        One view is built per scheduling event; installing ``fields`` as the
-        instance ``__dict__`` skips the four guarded ``object.__setattr__``
-        calls (same trick as :meth:`ApplicationView._build_fast`).  ``fields``
-        must contain exactly the dataclass fields; the view takes ownership.
-        """
-        view = object.__new__(cls)
-        object.__setattr__(view, "__dict__", fields)
-        return view
 
     def io_candidates(self) -> tuple[ApplicationView, ...]:
         """Applications that want to perform I/O right now.

@@ -5,20 +5,24 @@ engine: at every event it re-scans **all** applications to find candidates,
 fire transitions, and compute the next event horizon, and it re-sums
 instance prefixes inside every view.  That makes each event cost
 O(n_apps × n_instances) — quadratic over a whole run — which is exactly what
-:mod:`repro.simulator.engine` replaces with an indexed event heap and cached
-prefix sums.
+:mod:`repro.simulator.engine` replaces with columnar numpy state and
+vectorized per-event passes.
 
-It is kept (and must stay behaviourally frozen) for two reasons:
+It is kept (and must stay behaviourally frozen) for three reasons:
 
 * ``tests/test_engine_equivalence.py`` runs it head-to-head against the
-  optimized engine and asserts identical makespans, per-application
-  completion times and event counts — the optimized engine's correctness
-  argument is "same timeline, same floats, faster bookkeeping";
+  optimized engine and asserts bit-identical records, makespans and event
+  logs — the optimized engine's correctness argument is "same timeline,
+  same floats, faster bookkeeping";
 * ``benchmarks/bench_engine_scaling.py`` uses it as the baseline when
-  reporting the optimized engine's events/sec speedup in ``BENCH_engine.json``.
+  reporting the optimized engine's events/sec speedup in ``BENCH_engine.json``;
+* :func:`repro.simulator.engine.simulate` runs a scenario here when the
+  scheduler has no vectorized kernel (a custom
+  :class:`~repro.simulator.interface.SchedulerProtocol` or a subclass of a
+  built-in policy), since this engine drives any scheduler through views.
 
-Do not use it for experiments; :func:`repro.simulator.engine.simulate` is a
-drop-in replacement that produces the same results.
+Call :func:`repro.simulator.engine.simulate` rather than this module: it
+produces the same results and picks this engine only when it must.
 """
 
 from __future__ import annotations

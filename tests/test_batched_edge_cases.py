@@ -1,19 +1,19 @@
-"""Batched-engine edge cases the fuzzer is unlikely to hit.
+"""Columnar-engine edge cases the fuzzer is unlikely to hit.
 
 The differential harness (`tests/test_engine_differential.py`) explores the
 healthy interior of the scenario space; these tests pin the boundary
-behaviours of :mod:`repro.simulator.batched` against the other two engines:
+behaviours of :mod:`repro.simulator.engine` against the reference engine:
 
 * a blackout that never lifts must raise the *same* diagnostic
   :class:`~repro.simulator.engine.StallError` — same stuck applications,
-  same simulated time, same active-window listing — in all three engines;
+  same simulated time, same active-window listing — in both engines;
 * zero-application platforms are rejected at `Scenario` construction, so
   no engine ever sees an empty scenario (pinned here to keep the engines'
   "applications remain" invariant honest);
 * single-breakpoint scenarios (one app, one instance, degenerate work/IO
   splits) exercise the shortest possible event chains;
 * a crash placed exactly on a fault-window boundary must land on the same
-  side of the window in every engine.
+  side of the window in both engines.
 """
 
 from __future__ import annotations
@@ -28,15 +28,13 @@ from repro.core.platform import Platform
 from repro.core.scenario import Scenario
 from repro.faults import BandwidthWindow, CrashEvent, FaultModel
 from repro.online.registry import make_scheduler
-from repro.simulator.batched import batched_simulate
 from repro.simulator.engine import SimulatorConfig, StallError, simulate
 from repro.simulator.reference import reference_simulate
 from repro.utils.validation import ValidationError
 
 ENGINES = {
     "reference": reference_simulate,
-    "heap": simulate,
-    "batched": batched_simulate,
+    "batched": simulate,
 }
 
 
@@ -60,10 +58,9 @@ def _run_all(scenario, scheduler_name="MaxSysEff", config=None):
         logs[name] = [
             (e.time, e.event_type, e.app_name, e.instance_index) for e in log
         ]
-    for name in ("heap", "batched"):
-        assert results[name].records == results["reference"].records, name
-        assert results[name].makespan == results["reference"].makespan, name
-        assert logs[name] == logs["reference"], name
+    assert results["batched"].records == results["reference"].records
+    assert results["batched"].makespan == results["reference"].makespan
+    assert logs["batched"] == logs["reference"]
     return results
 
 
@@ -95,7 +92,6 @@ class TestEternalBlackout:
                 runner(scenario, make_scheduler("MaxSysEff"), SimulatorConfig())
             messages[name] = str(exc_info.value)
         # Identical diagnostic text: stuck apps, sim time, active window.
-        assert messages["heap"] == messages["reference"]
         assert messages["batched"] == messages["reference"]
         message = messages["batched"]
         assert "stalled" in message
@@ -106,7 +102,7 @@ class TestEternalBlackout:
     def test_stall_time_is_in_the_blackout(self):
         scenario = self._eternal_blackout_scenario()
         with pytest.raises(StallError) as exc_info:
-            batched_simulate(
+            simulate(
                 scenario, make_scheduler("MaxSysEff"), SimulatorConfig()
             )
         # The reported simulation time must be at or past the window start.

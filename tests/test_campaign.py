@@ -342,7 +342,6 @@ class TestPlan:
             list(plan.scenarios),
             list(plan.cases),
             max_time=tiny_spec.max_time,
-            engine=tiny_spec.engine,
         )
         assert len(plan.cells) == len(plan.scenarios) * len(plan.cases) == 4
         for cell in plan.cells:

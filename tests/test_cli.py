@@ -128,6 +128,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert "experiment.kind" in err and "nope" in err
 
+    def test_removed_engine_key_and_flag_exit_2(self, tiny_spec, tmp_path, capsys):
+        old = tmp_path / "old.toml"
+        old.write_text(TINY_GRID.replace(
+            "[experiment]\n", '[experiment]\nengine = "batched"\n', 1
+        ))
+        for command in ("validate", "run"):
+            assert main([command, str(old)]) == 2
+            err = capsys.readouterr().err
+            assert "experiment" in err and "unknown key(s) ['engine']" in err
+            assert "Traceback" not in err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", str(tiny_spec), "--engine", "batched"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "ghost.toml")]) == 2
         assert "not found" in capsys.readouterr().err

@@ -463,6 +463,12 @@ class TestErrors:
         data["experiment"]["sede"] = 1  # typo for seed
         self.expect(data, "sede", "seed")
 
+    def test_removed_engine_key_is_unknown(self):
+        # The engine selector is gone: old specs fail like any typo.
+        data = grid_spec_data()
+        data["experiment"]["engine"] = "batched"
+        self.expect(data, "experiment", "unknown key(s) ['engine']")
+
     def test_unknown_scenario_key_has_indexed_path(self):
         data = grid_spec_data()
         data["scenarios"][1]["congestion"] = 2.0  # typo

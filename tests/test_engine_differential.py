@@ -1,14 +1,14 @@
-"""Property-based differential fuzzing of the three simulation engines.
+"""Property-based differential fuzzing of the engine against its oracle.
 
-:mod:`repro.simulator.reference` (the seed oracle), :mod:`repro.simulator.
-engine` (the indexed heap engine) and :mod:`repro.simulator.batched` (the
-columnar numpy engine) all claim to produce *bit-identical* results — not
-merely tolerance-level agreement.  These tests put that claim under
-hypothesis: random application mixes, schedulers, burst-buffer
-configurations and fault tables (brown-out windows, blackouts, crashes)
-are generated, run through all three engines, and every comparable output
-— per-application records, makespans, fault counters, burst-buffer stats
-and full event logs — is asserted exactly equal.
+:mod:`repro.simulator.reference` (the seed oracle) and
+:mod:`repro.simulator.engine` (the columnar numpy engine) claim to produce
+*bit-identical* results — not merely tolerance-level agreement.  These
+tests put that claim under hypothesis: random application mixes,
+schedulers, burst-buffer configurations and fault tables (brown-out
+windows, blackouts, crashes) are generated, run through both engines, and
+every comparable output — per-application records, makespans, fault
+counters, burst-buffer stats and full event logs — is asserted exactly
+equal.
 
 When a case fails, hypothesis shrinks it: the falsifying example printed
 by the test is the *minimal* scenario (fewest apps / instances, smallest
@@ -35,13 +35,12 @@ from repro.core.platform import BurstBufferSpec, Platform  # noqa: E402
 from repro.core.scenario import Scenario  # noqa: E402
 from repro.faults import BandwidthWindow, CrashEvent, FaultModel  # noqa: E402
 from repro.online.registry import make_scheduler  # noqa: E402
-from repro.simulator.batched import batched_simulate  # noqa: E402
 from repro.simulator.engine import SimulatorConfig, simulate  # noqa: E402
 from repro.simulator.reference import reference_simulate  # noqa: E402
 
-#: Every scheduler family the registry can build natively: the four paper
+#: Every scheduler family the registry can build: the four paper
 #: heuristics, the gamma-split, Priority variants, the fair-share baseline
-#: and a machine baseline (custom scheduler object -> delegation path).
+#: and a machine baseline.
 SCHEDULER_NAMES = (
     "RoundRobin",
     "MinDilation",
@@ -56,7 +55,7 @@ SCHEDULER_NAMES = (
     "Intrepid",
 )
 
-#: Shared hypothesis profile: engines triple-run per example, so examples
+#: Shared hypothesis profile: both engines run per example, so examples
 #: stay small and the deadline is off (wall time varies with the drawn
 #: scenario, not with test health).
 FUZZ = settings(
@@ -168,29 +167,18 @@ def _flatten(log: EventLog) -> list[tuple]:
 def assert_all_engines_identical(
     scenario: Scenario, scheduler_name: str, config: SimulatorConfig
 ) -> None:
-    """Run reference, heap and batched; assert bit-identical everything."""
-    logs = {name: EventLog() for name in ("reference", "heap", "batched")}
-    results = {
-        "reference": reference_simulate(
-            scenario, make_scheduler(scheduler_name), config, logs["reference"]
-        ),
-        "heap": simulate(
-            scenario, make_scheduler(scheduler_name), config, logs["heap"]
-        ),
-        "batched": batched_simulate(
-            scenario, make_scheduler(scheduler_name), config, logs["batched"]
-        ),
-    }
-    oracle = results["reference"]
-    oracle_events = _flatten(logs["reference"])
-    for engine in ("heap", "batched"):
-        result = results[engine]
-        assert result.n_events == oracle.n_events, engine
-        assert result.makespan == oracle.makespan, engine
-        assert result.records == oracle.records, engine
-        assert result.fault_stats == oracle.fault_stats, engine
-        assert result.burst_buffer == oracle.burst_buffer, engine
-        assert _flatten(logs[engine]) == oracle_events, engine
+    """Run the reference and the engine; assert bit-identical everything."""
+    oracle_log, log = EventLog(), EventLog()
+    oracle = reference_simulate(
+        scenario, make_scheduler(scheduler_name), config, oracle_log
+    )
+    result = simulate(scenario, make_scheduler(scheduler_name), config, log)
+    assert result.n_events == oracle.n_events
+    assert result.makespan == oracle.makespan
+    assert result.records == oracle.records
+    assert result.fault_stats == oracle.fault_stats
+    assert result.burst_buffer == oracle.burst_buffer
+    assert _flatten(log) == _flatten(oracle_log)
 
 
 # --------------------------------------------------------------------- #

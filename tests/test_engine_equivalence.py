@@ -1,12 +1,11 @@
 """Optimized engine vs seed engine: the timelines must be identical.
 
-The fast engine (:mod:`repro.simulator.engine`) replaces the seed engine's
-per-event full scans with an event heap, cached prefix sums and memoized
-views.  Those are pure bookkeeping changes — every float handed to the
-scheduler and every event time must come out bit-for-bit the same — so these
-tests run randomized scenarios through both engines and require identical
-makespans, per-application completion times and event counts (the ISSUE's
-tolerance of 1e-9 is the allowance; in practice the engines agree exactly).
+The engine (:mod:`repro.simulator.engine`) replaces the seed engine's
+per-event full scans with columnar numpy state and vectorized passes.
+Those are pure bookkeeping changes — every event time and every float in
+the records must come out bit-for-bit the same — so these tests run
+randomized scenarios through both engines and require identical records,
+makespans, event counts and event logs.
 
 The scenario matrix crosses: randomized mixes (several seeds), all four
 paper heuristics plus Priority variants and the fair-share baseline, with
@@ -23,8 +22,8 @@ from repro.core.application import Application
 from repro.core.platform import BurstBufferSpec, Platform
 from repro.core.scenario import Scenario
 from repro.faults import BandwidthWindow, CrashEvent, FaultModel
-from repro.online.registry import make_scheduler
-from repro.simulator.batched import batched_simulate
+from repro.core.events import EventLog
+from repro.online.registry import available_schedulers, make_scheduler
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.reference import reference_simulate
 
@@ -81,39 +80,33 @@ def random_scenario(
 
 
 def assert_equivalent(scenario, scheduler_name, config=None):
-    """Run all three engines and compare everything the ISSUE requires.
+    """Run the engine and the seed reference engine; require bit-identity.
 
-    The heap engine ("fast") and the batched numpy engine are each checked
-    against the seed reference engine; the batched engine is additionally
-    held to *exact* equality of the full record set (it claims bit-identity,
-    not just tolerance-level agreement).
+    The tolerance checks name the first diverging application when the
+    engines drift; the exact equalities below them are the contract.
     """
     config = config or SimulatorConfig()
     seed_engine = reference_simulate(scenario, make_scheduler(scheduler_name), config)
     fast = simulate(scenario, make_scheduler(scheduler_name), config)
-    batched = batched_simulate(scenario, make_scheduler(scheduler_name), config)
-    for result in (fast, batched):
-        assert result.n_events == seed_engine.n_events
-        assert result.makespan == pytest.approx(seed_engine.makespan, abs=TOL)
-        assert set(result.records) == set(seed_engine.records)
-        for name, rec in result.records.items():
-            ref_rec = seed_engine.records[name]
-            assert rec.completion_time == pytest.approx(
-                ref_rec.completion_time, abs=TOL
-            ), name
-            assert rec.executed_work == pytest.approx(ref_rec.executed_work, abs=TOL)
-            assert rec.total_io_transferred == pytest.approx(
-                ref_rec.total_io_transferred, abs=TOL
-            )
-            assert len(rec.instances) == len(ref_rec.instances)
-            assert rec.restarts == ref_rec.restarts, name
-        assert (result.fault_stats is None) == (seed_engine.fault_stats is None)
-        if result.fault_stats is not None:
-            assert result.fault_stats == seed_engine.fault_stats
-    # Bit-identity, not just tolerance: the batched engine's contract.
-    assert batched.records == seed_engine.records
-    assert batched.makespan == seed_engine.makespan
-    assert batched.burst_buffer == seed_engine.burst_buffer
+    assert fast.n_events == seed_engine.n_events
+    assert fast.makespan == pytest.approx(seed_engine.makespan, abs=TOL)
+    assert set(fast.records) == set(seed_engine.records)
+    for name, rec in fast.records.items():
+        ref_rec = seed_engine.records[name]
+        assert rec.completion_time == pytest.approx(
+            ref_rec.completion_time, abs=TOL
+        ), name
+        assert rec.executed_work == pytest.approx(ref_rec.executed_work, abs=TOL)
+        assert rec.total_io_transferred == pytest.approx(
+            ref_rec.total_io_transferred, abs=TOL
+        )
+        assert len(rec.instances) == len(ref_rec.instances)
+        assert rec.restarts == ref_rec.restarts, name
+    assert fast.fault_stats == seed_engine.fault_stats
+    # Bit-identity, not just tolerance: the engine's contract.
+    assert fast.records == seed_engine.records
+    assert fast.makespan == seed_engine.makespan
+    assert fast.burst_buffer == seed_engine.burst_buffer
     return fast, seed_engine
 
 
@@ -151,7 +144,7 @@ class TestAwkwardShapes:
     def test_zero_work_and_zero_io_instances(self):
         # Pure-I/O and pure-compute instances exercise the immediate
         # transition chains (release -> compute done -> I/O done at one
-        # instant), the paths where stale heap entries could bite.
+        # instant), which the engine's scalar cascade must fire in order.
         apps = (
             Application.from_sequences(
                 "chain", 20, works=[0.0, 50.0, 0.0], io_volumes=[1e8, 0.0, 5e7]
@@ -182,14 +175,11 @@ class TestAwkwardShapes:
         assert_equivalent(scenario, "MaxSysEff", SimulatorConfig(max_time=max_time))
 
     def test_event_logs_serialize_identically(self):
-        from repro.core.events import EventLog
-
         scenario = random_scenario(5, n_apps=6)
         config = SimulatorConfig(record_events=True)
-        fast_log, seed_log, batched_log = EventLog(), EventLog(), EventLog()
+        fast_log, seed_log = EventLog(), EventLog()
         simulate(scenario, make_scheduler("MaxSysEff"), config, fast_log)
         reference_simulate(scenario, make_scheduler("MaxSysEff"), config, seed_log)
-        batched_simulate(scenario, make_scheduler("MaxSysEff"), config, batched_log)
 
         def flatten(log):
             return [
@@ -197,7 +187,6 @@ class TestAwkwardShapes:
             ]
 
         assert flatten(fast_log) == flatten(seed_log)
-        assert flatten(batched_log) == flatten(seed_log)
 
 
 def random_fault_model(
@@ -342,19 +331,18 @@ class TestFaultedEquivalence:
         )
 
     def test_faulted_event_logs_serialize_identically(self):
-        from repro.core.events import EventLog, EventType
+        from repro.core.events import EventType
 
         scenario = random_scenario(5, n_apps=6)
         faulted = scenario.with_faults(
             random_fault_model(5, scenario, with_blackout=True)
         )
         config = SimulatorConfig(record_events=True)
-        fast_log, seed_log, batched_log = EventLog(), EventLog(), EventLog()
+        fast_log, seed_log = EventLog(), EventLog()
         simulate(faulted, make_scheduler("MaxSysEff"), config, fast_log)
         reference_simulate(
             faulted, make_scheduler("MaxSysEff"), config, seed_log
         )
-        batched_simulate(faulted, make_scheduler("MaxSysEff"), config, batched_log)
 
         def flatten(log):
             return [
@@ -362,7 +350,6 @@ class TestFaultedEquivalence:
             ]
 
         assert flatten(fast_log) == flatten(seed_log)
-        assert flatten(batched_log) == flatten(seed_log)
         crash_events = [e for e in fast_log if e.event_type is EventType.APP_CRASH]
         restart_events = [
             e for e in fast_log if e.event_type is EventType.APP_RESTART
@@ -371,64 +358,67 @@ class TestFaultedEquivalence:
         assert len(restart_events) <= len(crash_events)
 
 
-class TestAutoDispatch:
-    """``engine = "auto"`` picks a kernel by width, bit-identically."""
-
-    def test_dispatch_boundaries(self):
-        from repro.experiments.runner import AUTO_DISPATCH_MIN_APPS, dispatch_engine
-
-        assert dispatch_engine("auto", AUTO_DISPATCH_MIN_APPS - 1) == "heap"
-        assert dispatch_engine("auto", AUTO_DISPATCH_MIN_APPS) == "batched"
-        assert dispatch_engine("auto", 1) == "heap"
-        assert dispatch_engine("auto", 500) == "batched"
-        # Explicit selectors pass through regardless of width.
-        assert dispatch_engine("heap", 500) == "heap"
-        assert dispatch_engine("batched", 1) == "batched"
-        # None resolves to the default engine, width-independently.
-        from repro.experiments.runner import DEFAULT_ENGINE
-
-        assert dispatch_engine(None, 1) == DEFAULT_ENGINE
-
-    def test_unknown_engine_rejected(self):
-        from repro.experiments.runner import dispatch_engine
-        from repro.utils.validation import ValidationError
-
-        with pytest.raises(ValidationError):
-            dispatch_engine("turbo", 10)
+class TestRunCase:
+    """The experiment runner's cell path is bit-identical to the oracle."""
 
     @pytest.mark.parametrize("n_apps", [6, 40])
-    def test_auto_bit_identical_to_explicit_engines(self, n_apps):
-        """Auto must match heap and batched on both sides of the threshold."""
+    def test_run_case_matches_reference(self, n_apps):
         from repro.experiments.runner import SchedulerCase, run_case
 
         scenario = random_scenario(7, n_apps=n_apps)
         case = SchedulerCase(name="MaxSysEff")
-        results = {
-            engine: run_case(scenario, case, engine=engine)
-            for engine in ("heap", "batched", "auto")
+        cell, result = run_case(scenario, case, return_result=True)
+        oracle = reference_simulate(scenario, make_scheduler("MaxSysEff"))
+        assert result.records == oracle.records
+        assert cell.makespan == oracle.makespan
+        assert cell.n_events == oracle.n_events
+        assert cell.summary == oracle.summary()
+
+
+class TestReferenceFallback:
+    """Schedulers without a vectorized kernel run on the reference engine."""
+
+    @staticmethod
+    def _fallbacks(rec) -> dict:
+        return {
+            dict(c.labels)["scheduler"]: c.value
+            for c in rec.registry.counters()
+            if c.name == "repro_engine_fallback_total"
         }
-        assert results["auto"] == results["heap"]
-        assert results["auto"] == results["batched"]
 
-    @pytest.mark.parametrize("n_apps", [6, 40])
-    def test_auto_cache_keys_match_dispatched_engine(self, n_apps):
-        """An auto cell stores under the key of the kernel that ran it."""
-        from repro.experiments.runner import (
-            SchedulerCase,
-            _GridCellCache,
-            dispatch_engine,
-        )
-        from repro.store import ResultStore
+    @pytest.fixture
+    def rec(self):
+        from repro.obs.telemetry import recorder
 
-        scenario = random_scenario(11, n_apps=n_apps)
-        cases = [SchedulerCase(name="MaxSysEff")]
-        store = ResultStore(root="/nonexistent-store")
+        rec = recorder()
+        rec.reset()
+        rec.enable()
+        yield rec
+        rec.reset()
 
-        def cell_key(engine):
-            cache = _GridCellCache(store, [scenario], cases, float("inf"), engine)
-            return cache.key((0, 0))
+    def test_subclass_falls_back_bit_identically(self, rec):
+        from repro.online.heuristics import MaxSysEff
 
-        resolved = dispatch_engine("auto", n_apps)
-        assert cell_key("auto") == cell_key(resolved)
-        other = "heap" if resolved == "batched" else "batched"
-        assert cell_key("auto") != cell_key(other)
+        class TunedMaxSysEff(MaxSysEff):
+            pass
+
+        scenario = random_scenario(2)
+        faulted = scenario.with_faults(random_fault_model(2, scenario))
+        config = SimulatorConfig(record_events=True)
+        log, oracle_log = EventLog(), EventLog()
+        result = simulate(faulted, TunedMaxSysEff(), config, log)
+        oracle = reference_simulate(faulted, MaxSysEff(), config, oracle_log)
+        assert self._fallbacks(rec) == {"TunedMaxSysEff": 1.0}
+        assert result.records == oracle.records
+        assert result.makespan == oracle.makespan
+        assert result.n_events == oracle.n_events
+        assert result.fault_stats == oracle.fault_stats
+        assert list(log) == list(oracle_log)
+
+    @pytest.mark.parametrize("prefix", ["", "Priority-"])
+    @pytest.mark.parametrize(
+        "base", [n.replace("<gamma>", "0.5") for n in available_schedulers()]
+    )
+    def test_registry_schedulers_never_fall_back(self, rec, prefix, base):
+        simulate(random_scenario(0, n_apps=6), make_scheduler(prefix + base))
+        assert self._fallbacks(rec) == {}
