@@ -11,13 +11,29 @@ The engine implements the execution model of Section 2.1 directly:
   advances time to the *next* event — there is no fixed time step and no
   numerical integration error beyond floating-point rounding.
 
-Per-application state is kept as flat numpy columns (phases,
-release/compute-end times, remaining volumes, rates, request times), so
-each event is a handful of vectorized passes over all applications instead
-of per-object Python dispatch: candidate collection, ordering keys, the
-next-event horizon and the interval advance are all array expressions, and
-only the (few) applications actually transitioning at the new time are
-touched by scalar code.
+Per-application state is kept as flat numpy columns (phases, remaining
+volumes, rates, request times, ...), so each event is a handful of
+vectorized passes over all applications instead of per-object Python
+dispatch: candidate collection, ordering keys, the next-event horizon and
+the interval advance are all array expressions, and only the (few)
+applications actually transitioning at the new time are touched by scalar
+code.  At the paper's widths (4 to 55 applications) an event costs numpy
+*calls*, not arithmetic, so the columns are shaped to need few of them:
+
+* ``own_t`` holds each application's own next transition time — its
+  release while not released, its compute end while computing, ``inf``
+  otherwise — and ``remaining`` holds the pending volume while in an I/O
+  phase, ``inf`` otherwise.  The scalar transitions keep both up to date,
+  so the due mask is ``(own_t <= t + eps) | (remaining <= eps)`` and the
+  horizon is ``max(0, min(own_t) - t)`` against the transfer times of the
+  served candidates.  ``min(fl(x_i - t)) == fl(min(x_i) - t)`` because
+  IEEE rounding is monotone, so the horizon is exact.
+* pending and transferring I/O share one phase code, so the candidates
+  are one comparison; the served ones (positive rate) are the only
+  transfers the horizon and the advance touch.
+* one ``np.errstate`` per run instead of two per event, and reductions and
+  ``nonzero`` are called on the ufunc or the array directly rather than
+  through numpy's Python wrappers.
 
 The contract is **bit-for-bit identity** with the reference engine
 (:mod:`repro.simulator.reference`, the frozen oracle) — same event
@@ -144,13 +160,14 @@ _VOLUME_EPS = 1e-6
 #: Same epsilon as :mod:`repro.simulator.bandwidth` (bandwidth in bytes/s).
 _BW_EPS = 1e-12
 
-# Integer phase codes for the ``phase`` column (the enum members of
-# ``ApplicationPhase``, in lifecycle order).
+# Integer phase codes for the ``phase`` column, in lifecycle order.
+# ``ApplicationPhase``'s IO_PENDING and DOING_IO share ``_IO``: no kernel
+# decision tells them apart, and whether the instance's transfer has
+# started is ``io_first`` (NaN until then).
 _NOT_RELEASED = 0
 _COMPUTING = 1
-_IO_PENDING = 2
-_DOING_IO = 3
-_DONE = 4
+_IO = 2
+_DONE = 3
 
 #: Heuristics whose ``allocate`` is the shared greedy favouring loop and
 #: whose ordering reduces to a lexsort kernel.  Keys are *exact* types: a
@@ -265,6 +282,17 @@ class Simulator:
             return ReferenceSimulator(self.scenario, self.config).run(
                 scheduler, event_log=event_log
             )
+        return self._run_columnar(scheduler, policy, event_log)
+
+    # Masked-out divisions in the ordering kernels would warn: one errstate
+    # per run instead of one per event.
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _run_columnar(
+        self,
+        scheduler: SchedulerProtocol,
+        policy: tuple,
+        event_log: EventLog | None,
+    ) -> SimulationResult:
         alloc_kind, ordering, priority, minmax_gamma = policy
 
         scheduler.reset()
@@ -313,13 +341,16 @@ class Simulator:
         instance_idx = [0] * n
         executed = np.zeros(n, dtype=np.float64)
         completed_work = [0.0] * n
-        compute_start = np.zeros(n, dtype=np.float64)
-        compute_end = np.full(n, np.inf, dtype=np.float64)
-        remaining = np.zeros(n, dtype=np.float64)
+        compute_start = [0.0] * n
+        # Own next transition: release if not released, compute end if
+        # computing, else inf.
+        own_t = release.copy()
+        # Volume still to move while in an I/O phase, else inf.
+        remaining = np.full(n, np.inf, dtype=np.float64)
         rate = np.zeros(n, dtype=np.float64)
-        io_started = np.zeros(n, dtype=bool)
-        io_first = np.full(n, np.nan, dtype=np.float64)  # NaN = "no transfer yet"
-        io_req = np.full(n, np.inf, dtype=np.float64)  # inf = "no request"
+        # NaN = "no transfer yet" (the instance's I/O has not started).
+        io_first = np.full(n, np.nan, dtype=np.float64)
+        io_req = np.full(n, np.inf, dtype=np.float64)  # current request time
         last_io_end = np.full(n, -np.inf, dtype=np.float64)
         completion = [math.nan] * n
         total_io = np.zeros(n, dtype=np.float64)
@@ -346,37 +377,34 @@ class Simulator:
                 )
 
         # ---------------- scalar transition cascade -----------------------
-        # These closures mirror the reference's transition methods line for
-        # line; they run only for the few applications due at each event.
+        # These closures mirror the reference's transition methods; they run
+        # only for the few applications due at each event.  They skip the
+        # reference's resets that no kernel reads: ``rate`` and ``io_req``
+        # are read for I/O candidates only, and every allocation rewrites
+        # ``rate`` for all of them.  ``io_first`` is NaN outside a started
+        # transfer: the instance's exits (completion, recovery, crash)
+        # reset it.
 
         def start_compute(i, time):
             inst = apps[i].instances[instance_idx[i]]
             phase[i] = _COMPUTING
             compute_start[i] = time
-            compute_end[i] = time + inst.work
-            rate[i] = 0.0
+            own_t[i] = time + inst.work
+            remaining[i] = np.inf
             if inst.work <= _TIME_EPS:
                 executed[i] += inst.work
                 request_io(i, time)
 
         def request_io(i, time):
             inst = apps[i].instances[instance_idx[i]]
-            if time < compute_end[i]:
-                compute_end[i] = time
+            own_t[i] = np.inf
             if inst.io_volume <= _VOLUME_EPS:
                 # Instance without I/O: complete as soon as computation ends.
-                remaining[i] = 0.0
-                io_req[i] = np.inf
-                io_first[i] = np.nan
-                phase[i] = _IO_PENDING
                 complete_instance(i, time)
                 return
-            phase[i] = _IO_PENDING
+            phase[i] = _IO
             remaining[i] = inst.io_volume
-            io_started[i] = False
-            io_first[i] = np.nan
             io_req[i] = time
-            rate[i] = 0.0
             emit(time, EventType.IO_REQUEST, names[i], instance_idx[i])
 
         def complete_instance(i, time):
@@ -384,7 +412,7 @@ class Simulator:
             idx = instance_idx[i]
             inst = apps[i].instances[idx]
             first = float(io_first[i])
-            cs = float(compute_start[i])
+            cs = compute_start[i]
             inst_records[i].append(
                 InstanceRecord(
                     index=idx,
@@ -400,15 +428,12 @@ class Simulator:
                 emit(time, EventType.IO_COMPLETE, names[i], idx)
             completed_work[i] += inst.work
             last_io_end[i] = time
-            remaining[i] = 0.0
-            rate[i] = 0.0
-            io_started[i] = False
             io_first[i] = np.nan
-            io_req[i] = np.inf
             instance_idx[i] = idx + 1
             opt_cur[i] = opt_tables[i][min(idx + 2, n_inst[i]) - 1]
             if idx + 1 >= n_inst[i]:
                 phase[i] = _DONE
+                remaining[i] = np.inf
                 completion[i] = time
                 n_done += 1
                 emit(time, EventType.APP_COMPLETE, names[i])
@@ -417,11 +442,7 @@ class Simulator:
 
         def finish_recovery(i, time):
             recovering[i] = False
-            remaining[i] = 0.0
-            rate[i] = 0.0
-            io_started[i] = False
             io_first[i] = np.nan
-            io_req[i] = np.inf
             emit(time, EventType.APP_RESTART, names[i], instance_idx[i])
             start_compute(i, time)
 
@@ -437,12 +458,11 @@ class Simulator:
                 # credited, so there is nothing to subtract there).
                 executed[i] -= apps[i].instances[instance_idx[i]].work
             recovering[i] = True
-            phase[i] = _IO_PENDING
+            phase[i] = _IO
+            own_t[i] = np.inf
             remaining[i] = crash.checkpoint_io
-            io_started[i] = False
             io_first[i] = np.nan
             io_req[i] = time
-            rate[i] = 0.0
 
         faults = self.scenario.faults
         timeline = FaultTimeline(faults) if faults is not None else None
@@ -462,24 +482,15 @@ class Simulator:
             # transition has cross-application effects, so an application
             # outside the mask cannot become due during the sweep.
             slack = time + _TIME_EPS
-            due = (
-                ((phase == _NOT_RELEASED) & (release <= slack))
-                | ((phase == _COMPUTING) & (compute_end <= slack))
-                | (
-                    ((phase == _IO_PENDING) | (phase == _DOING_IO))
-                    & (remaining <= _VOLUME_EPS)
-                )
-            )
-            for i in np.nonzero(due)[0].tolist():
-                if phase[i] == _NOT_RELEASED and release[i] <= slack:
+            due = (own_t <= slack) | (remaining <= _VOLUME_EPS)
+            for i in due.nonzero()[0].tolist():
+                if phase[i] == _NOT_RELEASED:  # due, so released by now
                     emit(time, EventType.APP_RELEASE, names[i])
                     start_compute(i, time)
-                if phase[i] == _COMPUTING and compute_end[i] <= slack:
+                if phase[i] == _COMPUTING and own_t[i] <= slack:
                     executed[i] += apps[i].instances[instance_idx[i]].work
                     request_io(i, time)
-                if (
-                    phase[i] == _IO_PENDING or phase[i] == _DOING_IO
-                ) and remaining[i] <= _VOLUME_EPS:
+                if remaining[i] <= _VOLUME_EPS:  # finite only in an I/O phase
                     if recovering[i]:
                         finish_recovery(i, time)
                     else:
@@ -510,34 +521,32 @@ class Simulator:
                 elif ordering == "roundrobin":
                     order = np.lexsort((nm, req, last_io_end[cand]))
                 else:
+                    # Division by a zero elapsed time or optimum is masked
+                    # out by the np.where; the run loop's errstate hushes it.
                     opt = opt_cur[cand]
                     el = time - release[cand]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        ach = np.where(el > _TIME_EPS, executed[cand] / el, opt)
+                    ach = np.where(el > _TIME_EPS, executed[cand] / el, opt)
+                    if ordering == "maxsyseff":
+                        order = np.lexsort((nm, req, -(procs_f[cand] * ach)))
+                    else:
                         ratio = np.where(
                             opt <= 0.0, 1.0, np.minimum(1.0, ach / opt)
                         )
-                    if ordering == "mindilation":
-                        order = np.lexsort((nm, req, ratio))
-                    elif ordering == "maxsyseff":
-                        order = np.lexsort((nm, req, -(procs_f[cand] * ach)))
-                    else:  # minmax: rescue the starved first, then MaxSysEff
-                        pf = procs_f[cand]
-                        starved = ratio < minmax_gamma
-                        s_pos = np.nonzero(starved)[0]
-                        h_pos = np.nonzero(~starved)[0]
-                        s_ord = s_pos[
-                            np.lexsort((nm[s_pos], req[s_pos], ratio[s_pos]))
-                        ]
-                        h_ord = h_pos[
-                            np.lexsort(
-                                (nm[h_pos], req[h_pos], -(pf[h_pos] * ach[h_pos]))
+                        if ordering == "mindilation":
+                            order = np.lexsort((nm, req, ratio))
+                        else:
+                            # minmax: the starved first by dilation ratio,
+                            # then the rest by MaxSysEff — one lexsort with
+                            # the group as primary key and a per-group key.
+                            starved = ratio < minmax_gamma
+                            key = np.where(
+                                starved, ratio, -(procs_f[cand] * ach)
                             )
-                        ]
-                        order = np.concatenate((s_ord, h_ord))
+                            order = np.lexsort((nm, req, key, ~starved))
             if priority:
-                st = io_started[cand][order]
-                order = np.concatenate((order[st], order[~st]))
+                # Stable partition: applications already transferring first.
+                fresh = np.isnan(io_first[cand[order]])
+                order = order[fresh.argsort(kind="stable")]
             return order
 
         # ---------------- main loop ---------------------------------------
@@ -568,8 +577,7 @@ class Simulator:
                 )
 
             # ---------------- allocation for the coming interval ----------
-            wants = (phase == _IO_PENDING) | (phase == _DOING_IO)
-            cand = np.nonzero(wants)[0]
+            cand = (phase == _IO).nonzero()[0]
             k = cand.size
             drain = bb.drain_rate() if bb is not None else 0.0
             if timeline is None:
@@ -579,9 +587,9 @@ class Simulator:
                 available = max(0.0, system_bw * fault_factor - drain)
 
             total_ingest = 0.0
+            active = cand  # candidates holding bandwidth (none if k == 0)
             if k:
                 n_allocations += 1
-                rate[cand] = 0.0
                 if bb is not None and bb.can_absorb():
                     cand_rates = fair_rates(cand, bb.ingest_capacity())
                     rate[cand] = cand_rates
@@ -598,6 +606,7 @@ class Simulator:
                     # sequential loop by definition (each grant rounds the
                     # remaining capacity before the next), mirroring
                     # bandwidth.favor_in_order float for float.
+                    rate[cand] = 0.0
                     rem = available
                     for i in cand[candidate_order(cand, time)].tolist():
                         if rem <= _BW_EPS:
@@ -611,33 +620,20 @@ class Simulator:
                         r = gamma * p
                         rate[i] = r
                         rem -= r
-                # Apply: transferring candidates hold bandwidth, the rest
-                # are pending (an interrupted transfer drops DOING_IO).
-                served = rate[cand] > 0.0
-                scand = cand[served]
-                fresh = scand[np.isnan(io_first[scand])]
-                io_first[fresh] = time
-                io_started[scand] = True
-                phase[scand] = _DOING_IO
-                phase[cand[~served]] = _IO_PENDING
+                # io_first is NaN until the first transfer and never
+                # later than now, so fmin stamps exactly the fresh ones.
+                active = cand[rate[cand] > 0.0]
+                io_first[active] = np.fmin(io_first[active], time)
 
             # ---------------- find the next event -------------------------
-            with np.errstate(divide="ignore", invalid="ignore"):
-                app_delta = np.where(
-                    phase == _NOT_RELEASED,
-                    np.maximum(0.0, release - time),
-                    np.where(
-                        phase == _COMPUTING,
-                        np.maximum(0.0, compute_end - time),
-                        np.where(
-                            wants & (rate > 0.0), remaining / rate, np.inf
-                        ),
-                    ),
-                )
-            deltas = []
-            best = float(app_delta.min())
-            if best < math.inf:
-                deltas.append(best)
+            # Own transitions (release, compute end) and transfers of the
+            # served candidates; everything else never moves on its own.
+            best = max(0.0, float(np.minimum.reduce(own_t)) - time)
+            if active.size:
+                rem_a = remaining[active]
+                rate_a = rate[active]
+                best = min(best, float(np.minimum.reduce(rem_a / rate_a)))
+            deltas = [best] if best < math.inf else []
             if bb is not None:
                 transition = bb.next_transition(total_ingest)
                 if transition is not None:
@@ -676,15 +672,15 @@ class Simulator:
                     fault_stall += dt
 
             # ---------------- advance the interval ------------------------
-            active = np.nonzero(wants & (rate > 0.0))[0]
             if active.size:
-                rem_a = remaining[active]
-                moved = np.minimum(rate[active] * dt, rem_a)
-                remaining[active] = np.maximum(0.0, rem_a - moved)
+                # moved <= rem_a, so the difference never goes negative.
+                moved = np.minimum(rate_a * dt, rem_a)
+                remaining[active] = rem_a - moved
                 total_io[active] += moved
-                rec = recovering[active]
-                if rec.any():
-                    recovery_io[active[rec]] += moved[rec]
+                if timeline is not None:  # only crashes start recoveries
+                    rec = recovering[active]
+                    if np.logical_or.reduce(rec):
+                        recovery_io[active[rec]] += moved[rec]
             if bb is not None:
                 if not bb.can_absorb():
                     time_bb_full += dt

@@ -13,7 +13,10 @@ behaviours of :mod:`repro.simulator.engine` against the reference engine:
 * single-breakpoint scenarios (one app, one instance, degenerate work/IO
   splits) exercise the shortest possible event chains;
 * a crash placed exactly on a fault-window boundary must land on the same
-  side of the window in both engines.
+  side of the window in both engines;
+* a crash mid-compute must clear the crashed application's pending compute
+  end from the horizon, a zero-byte checkpoint must make the recovery due
+  at the crash instant, and a crash at the release instant is ignored.
 """
 
 from __future__ import annotations
@@ -232,3 +235,39 @@ class TestCrashOnWindowBoundary:
             )
         )
         _run_all(scenario)
+
+
+class TestCrashTransitionTimes:
+    """The engine's own-transition-time column across crashes.
+
+    The event cap makes a stale compute end (which pins every later step
+    to the 1 ns floor) fail at once instead of after ten million events.
+    """
+
+    CONFIG = SimulatorConfig(record_events=True, max_events=10_000)
+
+    def _scenario(self, crash: CrashEvent) -> Scenario:
+        apps = (
+            Application.periodic(
+                "worker", 20, work=20.0, io_volume=4e8, n_instances=3,
+                release_time=5.0,
+            ),
+            Application.periodic(
+                "peer", 20, work=35.0, io_volume=2e8, n_instances=3
+            ),
+        )
+        scenario = Scenario(platform=_platform(), applications=apps)
+        return scenario.with_faults(FaultModel(windows=(), crashes=(crash,)))
+
+    # 4e8 bytes take the lone reader 20 s, past the lost compute end (25 s);
+    # a zero-byte checkpoint finishes the recovery at the crash instant.
+    @pytest.mark.parametrize("checkpoint_io", (4e8, 0.0))
+    def test_crash_mid_compute(self, checkpoint_io):
+        crash = CrashEvent(app_name="worker", time=15.0, checkpoint_io=checkpoint_io)
+        results = _run_all(self._scenario(crash), config=self.CONFIG)
+        assert results["batched"].records["worker"].restarts == 1
+
+    def test_crash_at_release_is_ignored(self):
+        crash = CrashEvent(app_name="worker", time=5.0, checkpoint_io=1e8)
+        results = _run_all(self._scenario(crash), config=self.CONFIG)
+        assert results["batched"].records["worker"].restarts == 0

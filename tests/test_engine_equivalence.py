@@ -32,8 +32,9 @@ from repro.simulator.reference import reference_simulate
 #: acceptance bound).
 TOL = 1e-9
 
-#: The four paper heuristics, two Priority variants, and the fair-share
-#: baseline with interference.
+#: The four paper heuristics, their Priority variants (all four run in
+#: every Figure 6 cell), Priority over FCFS, and the fair-share baseline
+#: with interference.
 SCHEDULERS = (
     "RoundRobin",
     "MinDilation",
@@ -41,6 +42,9 @@ SCHEDULERS = (
     "MinMax-0.5",
     "Priority-RoundRobin",
     "Priority-MaxSysEff",
+    "Priority-MinDilation",
+    "Priority-MinMax-0.5",
+    "Priority-FCFS",
     "Intrepid",
 )
 
