@@ -27,7 +27,7 @@ from repro.experiments.scaling import (
 def test_engine_scaling_suite(benchmark, scale):
     def experiment():
         return run_scaling_suite(
-            DEFAULT_GRID, events_budget=4000 * scale, progress=None
+            DEFAULT_GRID, events_budget=4000 * scale
         )
 
     payload = run_once(benchmark, experiment)

@@ -12,13 +12,14 @@ system and never rely on the repetition pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.platform import Platform, intrepid
 from repro.core.scenario import Scenario
 from repro.experiments.runner import ExperimentExecutor, SchedulerCase, run_grid
+from repro.obs.telemetry import recorder as _obs_recorder
 from repro.utils.rng import RngLike, as_rng, spawn_rngs
 from repro.utils.validation import ValidationError, check_in_range
 from repro.workload.generator import apply_sensibility, figure6_mix
@@ -32,6 +33,9 @@ __all__ = [
 
 #: The heuristics plotted in Figure 7.
 FIGURE7_SCHEDULERS: tuple[str, ...] = ("MinDilation", "MaxSysEff", "MinMax-0.5")
+
+#: Process-wide telemetry funnel; status events go through it.
+_OBS = _obs_recorder()
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,6 @@ def sensitivity_study(
     perturb_io: bool = False,
     max_time: float = float("inf"),
     workers: int | None = None,
-    progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
 ) -> SensitivityStudy:
     """Run the Figure 7 sweep.
@@ -125,15 +128,15 @@ def sensitivity_study(
         Passed to :func:`repro.experiments.runner.run_grid` for every level's
         grid: a simulated-time truncation horizon and the worker-process
         count.
-    progress:
-        Optional callback receiving one human-readable line per completed
-        sensibility level (long sweeps otherwise stay silent to the end).
     executor:
         Caller-owned :class:`~repro.experiments.runner.ExperimentExecutor`
         shared by every level's grid — the sweep runs many small grids, so
         reusing one pool instead of spawning one per level is the difference
         between paying process start-up once and paying it ``n_levels``
         times.
+
+    Each completed level emits one ``progress`` status event (see
+    ``docs/observability.md``).
     """
     platform = platform or intrepid()
     cases = [SchedulerCase(name=name) for name in schedulers]
@@ -181,9 +184,10 @@ def sensitivity_study(
                 dilation={s: averages[s]["dilation"] for s in schedulers},
             )
         )
-        if progress is not None:
-            progress(
-                f"sensibility {sensibility:g}%: level {level + 1}/{len(levels)} "
-                f"done ({len(scenarios)} mixes x {len(cases)} heuristics)"
+        if _OBS.sinks:
+            _OBS.event(
+                "progress", step="level", sensibility_percent=sensibility,
+                message=f"sensibility {sensibility:g}%: level {level + 1}/{len(levels)} "
+                        f"done ({len(scenarios)} mixes x {len(cases)} heuristics)",
             )
     return SensitivityStudy(points=points, schedulers=tuple(schedulers))

@@ -37,7 +37,7 @@ import multiprocessing as mp
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.campaign.journal import (
     LANDED,
@@ -65,15 +65,10 @@ from repro.utils.validation import ValidationError
 
 __all__ = ["campaign_status", "resume_campaign", "run_campaign"]
 
-Progress = Optional[Callable[[str], None]]
-
-#: Campaign lifecycle events land here when the CLI enabled telemetry
-#: (``--metrics``/``--trace``); no-ops otherwise.
+#: Campaign metrics land here when the CLI enabled telemetry
+#: (``--metrics``/``--trace``); lifecycle status events reach whatever
+#: sinks are installed (``--progress``, ``--webhook``).
 _OBS = _obs_recorder()
-
-#: ``on_event(event, **fields)`` — the progress-event hook
-#: (:class:`repro.obs.log.ProgressWebhook` or any callable with that shape).
-EventHook = Optional[Callable[..., None]]
 
 
 @dataclass
@@ -139,17 +134,12 @@ class CampaignCoordinator:
         campaign_dir: Path,
         store: ResultStore,
         journal: CampaignJournal,
-        *,
-        progress: Progress = None,
-        on_event: EventHook = None,
     ):
         self.plan = plan
         self.config = config
         self.campaign_dir = campaign_dir
         self.store = store
         self.journal = journal
-        self._progress_fn = progress
-        self._on_event = on_event
         self._mp = _mp_context()
         # Cell state: a cell is in exactly one of pending / leased /
         # landed / quarantined.  Pending maps to the monotonic instant the
@@ -175,19 +165,6 @@ class CampaignCoordinator:
         self.halted = False
 
     # ------------------------------------------------------------------ #
-    def _progress(self, message: str) -> None:
-        if self._progress_fn is not None:
-            self._progress_fn(message)
-
-    def _emit(self, event: str, **fields: object) -> None:
-        """Fire the progress-event hook; a broken sink never stalls cells."""
-        if self._on_event is None:
-            return
-        try:
-            self._on_event(event, **fields)
-        except Exception:
-            pass
-
     def _landed_total(self) -> int:
         return len(self._landed)
 
@@ -272,7 +249,11 @@ class CampaignCoordinator:
         outbox_path = mail / f"{worker_id}.g{generation}.out.jsonl"
         if respawn:
             self.journal.append({"type": "worker-respawn", "worker": worker_id})
-            self._progress(f"respawning worker {worker_id} (generation {generation})")
+            if _OBS.sinks:
+                _OBS.event(
+                    "worker-respawn", worker=worker_id, generation=generation,
+                    message=f"respawning worker {worker_id} (generation {generation})",
+                )
         inbox = MailboxWriter(inbox_path)
         process = self._mp.Process(
             target=campaign_worker_main,
@@ -318,10 +299,11 @@ class CampaignCoordinator:
         if self._respawns < self.config.max_respawns:
             self._respawns += 1
             self._spawn(worker.worker_id, respawn=True)
-        else:
-            self._progress(
-                f"worker {worker.worker_id} not replaced (respawn budget "
-                f"{self.config.max_respawns} exhausted)"
+        elif _OBS.sinks:
+            _OBS.event(
+                "worker-retired", worker=worker.worker_id,
+                message=f"worker {worker.worker_id} not replaced (respawn budget "
+                        f"{self.config.max_respawns} exhausted)",
             )
 
     # ------------------------------------------------------------------ #
@@ -345,20 +327,15 @@ class CampaignCoordinator:
             self.landed_computed += 1
         _OBS.count("repro_campaign_landed_total", source=source)
         _OBS.gauge_set("repro_campaign_cells_landed", float(self._landed_total()))
-        self._emit(
-            "cell-landed",
-            cell=cell.index,
-            scenario=cell.scenario_label,
-            scheduler=cell.scheduler_label,
-            source=source,
-            worker=worker,
-            landed=self._landed_total(),
-            n_cells=len(self.plan.cells),
-        )
-        self._progress(
-            f"landed {self._landed_total()}/{len(self.plan.cells)} "
-            f"({cell.scenario_label} x {cell.scheduler_label}, {source})"
-        )
+        if _OBS.sinks:
+            landed, n_cells = self._landed_total(), len(self.plan.cells)
+            _OBS.event(
+                "cell-landed", cell=cell.index, scenario=cell.scenario_label,
+                scheduler=cell.scheduler_label, source=source, worker=worker,
+                landed=landed, n_cells=n_cells,
+                message=f"landed {landed}/{n_cells} "
+                        f"({cell.scenario_label} x {cell.scheduler_label}, {source})",
+            )
 
     def _fail_cell(
         self, cell_index: int, attempt: int, kind: str, error: str, *, worker: Optional[str]
@@ -392,37 +369,26 @@ class CampaignCoordinator:
             )
             self._quarantined[cell_index] = (attempts, error)
             _OBS.count("repro_campaign_quarantined_total")
-            self._emit(
-                "cell-quarantined",
-                cell=cell_index,
-                scenario=cell.scenario_label,
-                scheduler=cell.scheduler_label,
-                attempts=attempts,
-                error=error,
-            )
-            self._progress(
-                f"QUARANTINED cell {cell_index} ({cell.scenario_label} x "
-                f"{cell.scheduler_label}) after {attempts} attempt(s): {error}"
-            )
+            if _OBS.sinks:
+                _OBS.event(
+                    "cell-quarantined", cell=cell_index, scenario=cell.scenario_label,
+                    scheduler=cell.scheduler_label, attempts=attempts, error=error,
+                    message=f"QUARANTINED cell {cell_index} ({cell.scenario_label} x "
+                            f"{cell.scheduler_label}) after {attempts} attempt(s): {error}",
+                )
         else:
             assert retry_in is not None
             self._pending[cell_index] = time.monotonic() + retry_in
             self.retries += 1
             _OBS.count("repro_campaign_retries_total", kind=kind)
-            self._emit(
-                "cell-failed",
-                cell=cell_index,
-                scenario=cell.scenario_label,
-                scheduler=cell.scheduler_label,
-                attempt=attempt,
-                kind=kind,
-                error=error,
-                retry_in=retry_in,
-            )
-            self._progress(
-                f"cell {cell_index} attempt {attempt} failed ({kind}): {error} "
-                f"— retry in {retry_in:.2f}s"
-            )
+            if _OBS.sinks:
+                _OBS.event(
+                    "cell-failed", cell=cell_index, scenario=cell.scenario_label,
+                    scheduler=cell.scheduler_label, attempt=attempt, kind=kind,
+                    error=error, retry_in=retry_in,
+                    message=f"cell {cell_index} attempt {attempt} failed ({kind}): "
+                            f"{error} — retry in {retry_in:.2f}s",
+                )
 
     # ------------------------------------------------------------------ #
     def _drain(self) -> None:
@@ -464,15 +430,12 @@ class CampaignCoordinator:
                     # own; replace it through the normal casualty path.
                     self.worker_deaths += 1
                     _OBS.count("repro_campaign_worker_deaths_total", kind="fatal")
-                    self._emit(
-                        "worker-death",
-                        worker=worker.worker_id,
-                        kind="fatal",
-                        error=str(record.get("error", "")),
-                    )
-                    self._progress(
-                        f"worker {worker.worker_id} fatal: {record.get('error')}"
-                    )
+                    if _OBS.sinks:
+                        _OBS.event(
+                            "worker-death", worker=worker.worker_id, kind="fatal",
+                            error=str(record.get("error", "")),
+                            message=f"worker {worker.worker_id} fatal: {record.get('error')}",
+                        )
                     self._replace(worker)
                     break
                 # "heartbeat" / "bye" only refresh last_seen.
@@ -483,7 +446,7 @@ class CampaignCoordinator:
             if not worker.process.is_alive():
                 self.worker_deaths += 1
                 _OBS.count("repro_campaign_worker_deaths_total", kind="died")
-                self._emit(
+                _OBS.event(
                     "worker-death",
                     worker=worker.worker_id,
                     kind="died",
@@ -577,7 +540,7 @@ class CampaignCoordinator:
                 del self._pending[cell_index]
                 self._leased.add(cell_index)
                 _OBS.count("repro_campaign_leases_total")
-                self._emit(
+                _OBS.event(
                     "cell-leased",
                     cell=cell_index,
                     worker=worker.worker_id,
@@ -618,7 +581,7 @@ class CampaignCoordinator:
 
     # ------------------------------------------------------------------ #
     def run(self) -> CampaignResult:
-        self._emit(
+        _OBS.event(
             "campaign-start",
             campaign=self.plan.campaign_id,
             n_cells=len(self.plan.cells),
@@ -657,7 +620,7 @@ class CampaignCoordinator:
             )
             _unregister_pointer(self.store, self.plan.campaign_id)
         outcome = self.result()
-        self._emit(
+        _OBS.event(
             "campaign-complete",
             campaign=outcome.campaign_id,
             landed=outcome.landed,
@@ -708,8 +671,6 @@ def run_campaign(
     store: Union[ResultStore, str, Path, None] = None,
     config: Optional[CampaignConfig] = None,
     spec_data: Optional[dict] = None,
-    progress: Progress = None,
-    on_event: EventHook = None,
 ) -> CampaignResult:
     """Start a fresh campaign in ``campaign_dir``.
 
@@ -751,8 +712,7 @@ def run_campaign(
         )
         _register_pointer(result_store, plan.campaign_id, journal_path)
         coordinator = CampaignCoordinator(
-            plan, config, campaign_dir, result_store, journal,
-            progress=progress, on_event=on_event,
+            plan, config, campaign_dir, result_store, journal
         )
         coordinator.seed_fresh()
         return coordinator.run()
@@ -763,8 +723,6 @@ def resume_campaign(
     *,
     store: Union[ResultStore, str, Path, None] = None,
     workers: Optional[int] = None,
-    progress: Progress = None,
-    on_event: EventHook = None,
     retry_quarantined: bool = False,
     halt_after_landed: Optional[int] = None,
 ) -> CampaignResult:
@@ -844,8 +802,7 @@ def resume_campaign(
         journal.append({"type": "resume"})
         _register_pointer(result_store, plan.campaign_id, journal_path)
         coordinator = CampaignCoordinator(
-            plan, config, campaign_dir, result_store, journal,
-            progress=progress, on_event=on_event,
+            plan, config, campaign_dir, result_store, journal
         )
         coordinator.resumes = state.resumes + 1
         coordinator.seed_resume(state, retry_quarantined=retry_quarantined)

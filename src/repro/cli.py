@@ -55,6 +55,7 @@ from repro.config import (
     run_spec,
     write_result,
 )
+from repro.obs.telemetry import recorder
 from repro.store import ResultStore
 from repro.utils.validation import ValidationError
 
@@ -129,61 +130,70 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextlib.contextmanager
-def _obs_session(args: argparse.Namespace) -> Iterator[None]:
-    """Enable the telemetry recorder for one command, flush sinks at exit.
+def _print_status(event: str, message: Optional[str] = None, **fields: object) -> None:
+    """The ``--progress`` sink: each event's ``message`` as a stderr line.
 
-    With none of ``--trace``/``--metrics``/``--profile`` given, the
-    recorder stays disabled and every instrumentation site in the pipeline
-    remains a no-op branch.  Artefacts are flushed in ``finally`` so a
-    crashed run still leaves a well-formed trace/metrics file of
-    everything recorded up to the failure.
+    Status goes to stderr so piped/redirected stdout stays a clean
+    artefact.  A broken stderr pipe raises here and the recorder drops the
+    line, so it can never abort a long run before its artefact is written.
     """
+    if message is not None:
+        print(message, file=sys.stderr, flush=True)
+
+
+@contextlib.contextmanager
+def _obs_session(args: argparse.Namespace, **stamp: object) -> Iterator[None]:
+    """Attach one command's telemetry: status sinks, recorder, artefacts.
+
+    ``--progress`` / ``--webhook`` subscribe their event sinks for the
+    command (``stamp`` fields go on every webhook event).  With none of
+    ``--trace``/``--metrics``/``--profile`` given, the recorder stays
+    disabled and every metric/span site in the pipeline remains a no-op
+    branch.  Artefacts are flushed in ``finally`` so a crashed run still
+    leaves a well-formed trace/metrics file of everything recorded up to
+    the failure.
+    """
+    rec = recorder()
+    sinks = []
+    if getattr(args, "progress", False):
+        sinks.append(_print_status)
+    if getattr(args, "webhook", None) is not None:
+        from repro.obs.log import ProgressWebhook
+
+        sinks.append(ProgressWebhook(args.webhook, recorder=rec, stamp=stamp).emit)
     trace = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", None)
     profile = getattr(args, "profile", None)
-    if trace is None and metrics is None and profile is None:
-        yield
-        return
-    from repro.obs.metrics import MetricsWriter, write_prometheus
-    from repro.obs.telemetry import recorder
-    from repro.obs.trace import write_trace
+    with rec.subscribed(*sinks):
+        if trace is None and metrics is None and profile is None:
+            yield
+            return
+        from repro.obs.metrics import MetricsWriter, write_prometheus
+        from repro.obs.trace import write_trace
 
-    rec = recorder()
-    rec.reset()
-    rec.enable()
-    writer: Optional[MetricsWriter] = None
-    if metrics is not None:
-        writer = MetricsWriter(metrics)
-        rec.install_stage_hook(
-            lambda stage: writer.write_snapshot(rec, reason=f"stage:{stage}")
-        )
-    if profile is not None:
-        from repro.obs.profile import StageProfiler
+        rec.reset()
+        rec.enable()
+        writer: Optional[MetricsWriter] = None
+        if metrics is not None:
+            writer = MetricsWriter(metrics)
+            rec.install_stage_hook(
+                lambda stage: writer.write_snapshot(rec, reason=f"stage:{stage}")
+            )
+        if profile is not None:
+            from repro.obs.profile import StageProfiler
 
-        rec.install_profiler(StageProfiler(profile))
-    try:
-        yield
-    finally:
+            rec.install_profiler(StageProfiler(profile))
         try:
-            if trace is not None:
-                write_trace(trace, rec)
-            if writer is not None:
-                writer.write_snapshot(rec, reason="final")
-                write_prometheus(f"{metrics}.prom", rec)
+            yield
         finally:
-            rec.disable()
-
-
-def _open_webhook(args: argparse.Namespace):
-    """The ``--webhook`` progress-event sink, or ``None``."""
-    target = getattr(args, "webhook", None)
-    if target is None:
-        return None
-    from repro.obs.log import ProgressWebhook
-    from repro.obs.telemetry import recorder
-
-    return ProgressWebhook(target, recorder=recorder())
+            try:
+                if trace is not None:
+                    write_trace(trace, rec)
+                if writer is not None:
+                    writer.write_snapshot(rec, reason="final")
+                    write_prometheus(f"{metrics}.prom", rec)
+            finally:
+                rec.disable()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -693,35 +703,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = spec.with_overrides(
         seed=args.seed, workers=args.workers, max_time=args.max_time
     )
-    progress = None
-    if args.progress:
-        # Status goes to stderr so piped/redirected stdout stays a clean
-        # artefact (tables or nothing with --quiet).  A broken stderr pipe
-        # must not abort an hours-long run before its artefact is written.
-        def progress(message: str) -> None:
-            try:
-                print(message, file=sys.stderr, flush=True)
-            except OSError:
-                pass
-
-    webhook = _open_webhook(args)
-    if webhook is not None:
-        inner_progress = progress
-
-        def progress(message: str) -> None:  # noqa: F811 — deliberate wrap
-            webhook.emit("progress", message=message, spec=spec.name)
-            if inner_progress is not None:
-                inner_progress(message)
-
     store = _open_store(args)
-    with _obs_session(args):
-        if webhook is not None:
-            webhook.emit("run-start", spec=spec.name, kind=spec.kind)
-        result = run_spec(spec, progress=progress, store=store)
-        if webhook is not None:
-            webhook.emit(
-                "run-complete", spec=spec.name, n_cells=len(result.records)
-            )
+    with _obs_session(args, spec=spec.name):
+        recorder().event("run-start", spec=spec.name, kind=spec.kind)
+        result = run_spec(spec, store=store)
+        recorder().event(
+            "run-complete", spec=spec.name, n_cells=len(result.records)
+        )
     if args.require_cached:
         misses = result.store_stats["misses"] if store is not None else None
         if store is None or misses:
@@ -743,20 +731,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if written is not None:
         print(f"wrote {written}")
     return 0
-
-
-def _stderr_progress(enabled: bool):
-    """Optional stderr status-line callback (pipe-safe, like ``run``'s)."""
-    if not enabled:
-        return None
-
-    def progress(message: str) -> None:
-        try:
-            print(message, file=sys.stderr, flush=True)
-        except OSError:
-            pass
-
-    return progress
 
 
 def _print_campaign_result(result) -> None:
@@ -826,14 +800,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 0
 
     if args.campaign_command == "resume":
-        webhook = _open_webhook(args)
         with _obs_session(args):
             result = resume_campaign(
                 args.campaign_dir,
                 store=args.store,
                 workers=args.workers,
-                progress=_stderr_progress(args.progress),
-                on_event=webhook.emit if webhook is not None else None,
                 retry_quarantined=args.retry_quarantined,
                 halt_after_landed=args.halt_after_landed,
             )
@@ -867,7 +838,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         else Path("campaigns") / spec.name
     )
     store = ResultStore(args.store)
-    webhook = _open_webhook(args)
     with _obs_session(args):
         result = run_campaign(
             spec,
@@ -875,8 +845,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             store=store,
             config=config,
             spec_data=spec_data,
-            progress=_stderr_progress(args.progress),
-            on_event=webhook.emit if webhook is not None else None,
         )
     _print_campaign_result(result)
     if result.halted:
@@ -947,16 +915,19 @@ def _validate_one(spec_path: str):
         build_periodic_setup,
         build_platform,
     )
-    from repro.config.spec import AnalysisSpec, GridSpec, PeriodicSpec
+    from repro.config.build import check_figure6_setup
+    from repro.config.spec import AnalysisSpec, Figure6Spec, GridSpec, PeriodicSpec
 
     spec = load_spec(spec_path)
     # Parsing alone misses the deterministic build-time checks (duplicate
     # labels, burst-buffer platform constraints, periodic application
-    # construction); run them too, so exit 0 really means "repro run will
-    # accept this spec".
+    # construction, Figure-6 mixes on a custom platform); run them too, so
+    # exit 0 really means "repro run will accept this spec".
     if isinstance(spec.body, GridSpec):
         build_grid_scenarios(spec.body, spec.seed, max_time=spec.max_time)
         build_cases(spec.body)
+    elif isinstance(spec.body, Figure6Spec):
+        check_figure6_setup(spec.body, spec.seed)
     elif isinstance(spec.body, PeriodicSpec):
         build_periodic_setup(spec.body, spec.seed)
     elif isinstance(spec.body, AnalysisSpec):
@@ -982,23 +953,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.report import build_report
 
-    progress = None
-    if args.progress:
-        def progress(message: str) -> None:
-            try:
-                print(message, file=sys.stderr, flush=True)
-            except OSError:
-                pass
-
     formats = ("html", "markdown") if args.format == "both" else (args.format,)
-    result = build_report(
-        _collect_spec_paths(args),
-        store=_open_store(args),
-        out_dir=args.out_dir,
-        formats=formats,
-        force_text=args.text,
-        progress=progress,
-    )
+    with _obs_session(args):
+        result = build_report(
+            _collect_spec_paths(args),
+            store=_open_store(args),
+            out_dir=args.out_dir,
+            formats=formats,
+            force_text=args.text,
+        )
     backend = "matplotlib" if result.used_matplotlib else "text charts"
     for section in result.sections:
         stats = section.result.store_stats

@@ -34,7 +34,7 @@ from repro.config.build import (
     build_platform,
 )
 from repro.config.loader import load_spec, load_spec_data, parse_spec_text
-from repro.config.run import ProgressCallback, SpecRunResult, run_spec, write_result
+from repro.config.run import SpecRunResult, run_spec, write_result
 from repro.config.schema import Section, SpecError
 from repro.config.spec import (
     ANALYSIS_FIGURES,
@@ -106,7 +106,6 @@ __all__ = [
     "build_cases",
     "build_periodic_setup",
     "SpecRunResult",
-    "ProgressCallback",
     "run_spec",
     "write_result",
 ]

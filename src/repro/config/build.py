@@ -19,6 +19,7 @@ from repro.config.schema import SpecError
 from repro.config.spec import (
     AppSpec,
     FaultsSpec,
+    Figure6Spec,
     GridSpec,
     PeriodicSpec,
     PlatformSpec,
@@ -37,6 +38,7 @@ from repro.faults import (
 )
 from repro.periodic.period_search import minimum_period
 from repro.utils.rng import spawn_rngs
+from repro.utils.validation import ValidationError
 from repro.workload.congested import CongestedMomentSpec, generate_congested_moment
 from repro.workload.generator import MixSpec, figure6_mix, generate_mix
 from repro.workload.ior import (
@@ -53,6 +55,7 @@ __all__ = [
     "build_grid_scenarios",
     "build_cases",
     "build_periodic_setup",
+    "check_figure6_setup",
 ]
 
 _PRESETS = {"intrepid": intrepid, "mira": mira, "vesta": vesta}
@@ -378,6 +381,27 @@ def build_periodic_setup(
                 "(1+eps) sweep could not evaluate a single period length"
             )
     return platform, applications
+
+
+def check_figure6_setup(body: Figure6Spec, seed: int) -> None:
+    """Build every Figure-6 mix a run would, without simulating any.
+
+    A panel's mix must fit the ``[figure6.platform]`` machine (every
+    application needs a processor).  ``repro validate`` calls this so that
+    exit 0 means ``repro run`` accepts the spec; the error names the key.
+    """
+    if body.platform is None:
+        return  # the default Intrepid fits every panel
+    platform = build_platform(body.platform)
+    for panel in body.panels:
+        # The seed derivation of figure6_experiment: one stream per mix.
+        for rng in spawn_rngs(seed, body.n_repetitions):
+            try:
+                figure6_mix(panel, platform, rng)
+            except ValidationError as exc:
+                raise SpecError(
+                    f"figure6.platform: panel {panel!r}: {exc}"
+                ) from None
 
 
 def build_cases(grid: GridSpec) -> list[SchedulerCase]:

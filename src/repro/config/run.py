@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.sensitivity import sensitivity_study
 from repro.analysis.throughput import throughput_decrease_study
@@ -71,19 +71,15 @@ from repro.store import (
 from repro.utils.rng import spawn_rngs
 from repro.workload.darshan import generate_records
 
-__all__ = ["SpecRunResult", "ProgressCallback", "run_spec", "write_result"]
+__all__ = ["SpecRunResult", "run_spec", "write_result"]
 
 #: Process-wide telemetry funnel.  The ``build`` / ``run`` / ``report``
 #: stage markers below are what ``--trace`` renders as top-level lanes,
 #: what ``--profile DIR`` profiles, and what ``--metrics`` snapshots
 #: after; they are no-ops unless the CLI enabled the recorder and they
-#: never influence payloads (see docs/observability.md).
+#: never influence payloads (see docs/observability.md).  Status events
+#: (``_OBS.event``) reach the installed sinks whether or not it is enabled.
 _OBS = _obs_recorder()
-
-#: Signature of the optional live-status callback threaded from the CLI
-#: (``repro run --progress``) down to the experiment harnesses: it receives
-#: one human-readable line per completed cell / level / study.
-ProgressCallback = Callable[[str], None]
 
 
 @dataclass
@@ -135,7 +131,6 @@ _AVERAGES_HEADERS = ["Scheduler", "SysEfficiency (%)", "Dilation", "Upper limit 
 def _run_grid_spec(
     spec: ExperimentSpec,
     body: GridSpec,
-    progress: Optional[ProgressCallback] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> SpecRunResult:
@@ -144,7 +139,7 @@ def _run_grid_spec(
         cases = build_cases(body)
     with _OBS.stage("run", kind=spec.kind):
         grid = run_grid(scenarios, cases, max_time=spec.max_time,
-                        progress=progress, executor=executor, store=store)
+                        executor=executor, store=store)
     with _OBS.stage("report", kind=spec.kind):
         return _grid_spec_report(spec, body, scenarios, grid)
 
@@ -210,7 +205,6 @@ def _grid_spec_report(
 def _run_figure6_spec(
     spec: ExperimentSpec,
     body: Figure6Spec,
-    progress: Optional[ProgressCallback] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> SpecRunResult:
@@ -230,12 +224,14 @@ def _run_figure6_spec(
                 platform=platform,
                 rng=spec.seed,
                 max_time=spec.max_time,
-                progress=progress,
                 executor=executor,
                 store=store,
             )
-            if progress is not None:
-                progress(f"panel {panel}: {i + 1}/{len(body.panels)} done")
+            if _OBS.sinks:
+                _OBS.event(
+                    "progress", step="panel", panel=panel,
+                    message=f"panel {panel}: {i + 1}/{len(body.panels)} done",
+                )
             _figure6_panel_report(
                 body, panel, result, panels_payload, records, blocks
             )
@@ -282,7 +278,6 @@ def _figure6_panel_report(
 def _run_congested_spec(
     spec: ExperimentSpec,
     body: CongestedMomentsSpec,
-    progress: Optional[ProgressCallback] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> SpecRunResult:
@@ -294,7 +289,6 @@ def _run_congested_spec(
             rng=spec.seed,
             priority_only=body.priority_only,
             max_time=spec.max_time,
-            progress=progress,
             executor=executor,
             store=store,
         )
@@ -327,7 +321,6 @@ def _run_congested_spec(
 def _run_vesta_spec(
     spec: ExperimentSpec,
     body: VestaSpec,
-    progress: Optional[ProgressCallback] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> SpecRunResult:
@@ -347,7 +340,6 @@ def _run_vesta_spec(
             scenarios=body.scenarios,
             configurations=body.configurations,
             rng=spec.seed,
-            progress=progress,
             executor=executor,
             store=store,
         )
@@ -390,7 +382,6 @@ def _run_vesta_spec(
 def _run_periodic_spec(
     spec: ExperimentSpec,
     body: PeriodicSpec,
-    progress: Optional[ProgressCallback] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> SpecRunResult:
@@ -489,10 +480,11 @@ def _run_periodic_spec(
             periodic_payload[key] = fragment
             records.append(record)
             rows.append(row)
-            if progress is not None:
-                progress(
-                    f"periodic {key}: swept {len(fragment['sweep'])} periods, "
-                    f"best T = {fragment['best_period']:.6g} s"
+            if _OBS.sinks:
+                _OBS.event(
+                    "progress", step="sweep", heuristic=key,
+                    message=f"periodic {key}: swept {len(fragment['sweep'])} "
+                            f"periods, best T = {fragment['best_period']:.6g} s",
                 )
 
         online_payload: dict[str, dict] = {}
@@ -510,7 +502,6 @@ def _run_periodic_spec(
             grid = run_grid(
                 [scenario],
                 cases,
-                progress=progress,
                 executor=executor,
                 store=store,
             )
@@ -576,7 +567,6 @@ def _analysis_figure1(
     body: AnalysisSpec,
     platform,
     rng,
-    progress: Optional[ProgressCallback],
     executor: Optional[ExperimentExecutor] = None,
 ) -> _FigureOutcome:
     """Figure 1: the throughput-decrease replay."""
@@ -619,10 +609,11 @@ def _analysis_figure1(
             f"max {study.max_decrease:.1f}%)"
         ),
     )
-    if progress is not None:
-        progress(
-            f"figure1: {study.n_applications} applications measured, "
-            f"worst decrease {study.max_decrease:.1f}%"
+    if _OBS.sinks:
+        _OBS.event(
+            "progress", step="figure", figure="figure1",
+            message=f"figure1: {study.n_applications} applications measured, "
+                    f"worst decrease {study.max_decrease:.1f}%",
         )
     return fragment, records, block
 
@@ -632,7 +623,6 @@ def _analysis_figure5(
     body: AnalysisSpec,
     platform,
     rng,
-    progress: Optional[ProgressCallback],
     executor: Optional[ExperimentExecutor] = None,
 ) -> _FigureOutcome:
     """Figure 5: the synthetic-Darshan workload characterization."""
@@ -687,10 +677,11 @@ def _analysis_figure5(
             f"({f5.n_jobs} synthetic Darshan jobs)"
         ),
     )
-    if progress is not None:
-        progress(
-            f"figure5: {f5.n_jobs} jobs characterized, dominant "
-            f"category {usage.dominant_category().value}"
+    if _OBS.sinks:
+        _OBS.event(
+            "progress", step="figure", figure="figure5",
+            message=f"figure5: {f5.n_jobs} jobs characterized, dominant "
+                    f"category {usage.dominant_category().value}",
         )
     return fragment, records, block
 
@@ -700,7 +691,6 @@ def _analysis_figure7(
     body: AnalysisSpec,
     platform,
     rng,
-    progress: Optional[ProgressCallback],
     executor: Optional[ExperimentExecutor] = None,
 ) -> _FigureOutcome:
     """Figure 7: the sensibility (periodicity) sweep."""
@@ -714,7 +704,6 @@ def _analysis_figure7(
         rng=rng,
         perturb_io=f7.perturb_io,
         max_time=spec.max_time,
-        progress=progress,
         executor=executor,
     )
     fragment = {
@@ -767,10 +756,11 @@ def _analysis_figure7(
             f"({f7.n_repetitions} mixes per level)"
         ),
     )
-    if progress is not None:
-        progress(
-            f"figure7: {len(study.points)} sensibility levels x "
-            f"{len(study.schedulers)} heuristics done"
+    if _OBS.sinks:
+        _OBS.event(
+            "progress", step="figure", figure="figure7",
+            message=f"figure7: {len(study.points)} sensibility levels x "
+                    f"{len(study.schedulers)} heuristics done",
         )
     return fragment, records, block
 
@@ -785,7 +775,6 @@ _ANALYSIS_RUNNERS = {
 def _run_analysis_spec(
     spec: ExperimentSpec,
     body: AnalysisSpec,
-    progress: Optional[ProgressCallback] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> SpecRunResult:
@@ -822,11 +811,14 @@ def _run_analysis_spec(
                 fragment = cached["fragment"]
                 figure_records = cached["records"]
                 block = cached["block"]
-                if progress is not None:
-                    progress(f"{figure}: served from the result store")
+                if _OBS.sinks:
+                    _OBS.event(
+                        "progress", step="figure", figure=figure, cached=True,
+                        message=f"{figure}: served from the result store",
+                    )
             else:
                 fragment, figure_records, block = _ANALYSIS_RUNNERS[figure](
-                    spec, body, platform, slots[figure], progress, executor
+                    spec, body, platform, slots[figure], executor
                 )
                 if study_key is not None:
                     store.put(
@@ -856,17 +848,17 @@ def _run_analysis_spec(
 # ---------------------------------------------------------------------- #
 def run_spec(
     spec: ExperimentSpec,
-    progress: Optional[ProgressCallback] = None,
+    *,
     store: Optional[ResultStore] = None,
 ) -> SpecRunResult:
     """Run one experiment spec to completion.
 
     The spec's own ``seed`` / ``workers`` / ``max_time`` are honoured; apply
     CLI-level overrides first via
-    :meth:`~repro.config.spec.ExperimentSpec.with_overrides`.  ``progress``
-    (the CLI's ``--progress`` flag) receives one human-readable line per
-    completed grid cell / sweep level / figure study; it never affects
-    results.
+    :meth:`~repro.config.spec.ExperimentSpec.with_overrides`.  Status
+    goes out as ``progress`` events on the telemetry recorder, one per
+    collected grid cell / sweep / level / figure study (see
+    ``docs/observability.md``); sinks never affect results.
 
     ``store`` attaches a :class:`repro.store.ResultStore`: every grid cell
     and analysis/periodic study is served from the store when its key is
@@ -887,17 +879,17 @@ def run_spec(
     with _OBS.span("spec", category="spec", spec=spec.name, kind=spec.kind), \
             ExperimentExecutor(spec.workers) as executor:
         if isinstance(body, GridSpec):
-            result = _run_grid_spec(spec, body, progress, executor, store)
+            result = _run_grid_spec(spec, body, executor, store)
         elif isinstance(body, Figure6Spec):
-            result = _run_figure6_spec(spec, body, progress, executor, store)
+            result = _run_figure6_spec(spec, body, executor, store)
         elif isinstance(body, CongestedMomentsSpec):
-            result = _run_congested_spec(spec, body, progress, executor, store)
+            result = _run_congested_spec(spec, body, executor, store)
         elif isinstance(body, VestaSpec):
-            result = _run_vesta_spec(spec, body, progress, executor, store)
+            result = _run_vesta_spec(spec, body, executor, store)
         elif isinstance(body, PeriodicSpec):
-            result = _run_periodic_spec(spec, body, progress, executor, store)
+            result = _run_periodic_spec(spec, body, executor, store)
         elif isinstance(body, AnalysisSpec):
-            result = _run_analysis_spec(spec, body, progress, executor, store)
+            result = _run_analysis_spec(spec, body, executor, store)
     if result is None:
         raise SpecError(f"experiment kind {spec.kind!r} has no runner")
     if store is not None:

@@ -14,7 +14,7 @@ Two experiment shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -114,7 +114,6 @@ def figure6_experiment(
     rng: RngLike = None,
     workers: int | None = None,
     max_time: float = float("inf"),
-    progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> Figure6Result:
@@ -148,7 +147,7 @@ def figure6_experiment(
     ]
     cases = [SchedulerCase(name=name) for name in schedulers]
     grid = run_grid(scenarios, cases, max_time=max_time, workers=workers,
-                    progress=progress, executor=executor, store=store)
+                    executor=executor, store=store)
     result = Figure6Result(scenario=scenario, n_repetitions=n_repetitions)
     for scheduler, metrics in grid.averages().items():
         result.averages[scheduler] = HeuristicAverages(
@@ -203,7 +202,6 @@ def congested_moments_experiment(
     priority_only: bool = False,
     workers: int | None = None,
     max_time: float = float("inf"),
-    progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> CongestedMomentsResult:
@@ -240,5 +238,5 @@ def congested_moments_experiment(
         )
     )
     grid = run_grid(moments, cases, max_time=max_time, workers=workers,
-                    progress=progress, executor=executor, store=store)
+                    executor=executor, store=store)
     return CongestedMomentsResult(machine=machine, grid=grid, baseline_label=baseline)

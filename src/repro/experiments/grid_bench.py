@@ -32,7 +32,7 @@ import json
 import platform as _platform
 import time
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.config.build import build_periodic_setup
 from repro.config.loader import load_spec
@@ -44,6 +44,7 @@ from repro.config.spec import (
     PeriodicSpec,
 )
 from repro.experiments.runner import resolve_workers
+from repro.obs.telemetry import recorder as _obs_recorder
 from repro.periodic.period_search import search_period
 from repro.utils.validation import ValidationError, check_positive
 
@@ -58,6 +59,9 @@ __all__ = [
     "run_grid_bench",
     "grid_bench_broken",
 ]
+
+#: Process-wide telemetry funnel; bench status events go through it.
+_OBS = _obs_recorder()
 
 #: The bundled specs the end-to-end benchmark replays (ISSUE 4 acceptance
 #: criterion): the analysis suite (Figures 1/5/7) and the periodic study.
@@ -159,10 +163,8 @@ def _count_cells(spec: ExperimentSpec, payload: Mapping) -> int:
 
 def _stage_seconds() -> dict[str, float]:
     """Wall time per pipeline stage, read from the recorder's spans."""
-    from repro.obs.telemetry import recorder
-
     seconds: dict[str, float] = {}
-    for record in recorder().span_snapshot():
+    for record in _OBS.span_snapshot():
         if record.category == "stage":
             seconds[record.name] = (
                 seconds.get(record.name, 0.0) + record.dur_us / 1e6
@@ -177,18 +179,15 @@ def _timed_run(spec: ExperimentSpec) -> tuple[float, dict, dict[str, float]]:
     so the stage breakdown rides along for free without perturbing the
     ``identical`` byte-comparisons below.
     """
-    from repro.obs.telemetry import recorder
-
-    rec = recorder()
-    rec.reset()
-    rec.enable()
+    _OBS.reset()
+    _OBS.enable()
     try:
         start = time.perf_counter()
         result = run_spec(spec)
         elapsed = time.perf_counter() - start
         stages = _stage_seconds()
     finally:
-        rec.reset()
+        _OBS.reset()
     return elapsed, result.payload, stages
 
 
@@ -379,13 +378,13 @@ def run_grid_bench(
     *,
     scale: int = 1,
     workers: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Measure every bench spec plus the period sweep; assemble the payload.
 
     The payload is what ``BENCH_grid.json`` serializes.  Any cell or sweep
     whose ``identical`` flag is false marks a determinism regression —
     ``benchmarks/run_bench.py`` turns that into a non-zero exit status.
+    Each measurement emits one ``bench`` status event.
     """
     if not specs:
         raise ValidationError("run_grid_bench needs at least one spec")
@@ -394,33 +393,36 @@ def run_grid_bench(
     for name in specs:
         entry = measure_spec_run(name, scale=scale, workers=workers)
         spec_entries.append(entry)
-        if progress is not None:
-            progress(
-                f"{entry['spec']:<18} serial {entry['serial']['seconds']:6.2f}s, "
-                f"pooled {entry['pooled']['seconds']:6.2f}s "
-                f"({entry['pooled']['workers']} worker(s), "
-                f"speedup {entry['speedup']:.2f}x, "
-                f"identical={entry['identical']})"
+        if _OBS.sinks:
+            _OBS.event(
+                "bench", step="spec", spec=entry["spec"],
+                message=f"{entry['spec']:<18} serial {entry['serial']['seconds']:6.2f}s, "
+                        f"pooled {entry['pooled']['seconds']:6.2f}s "
+                        f"({entry['pooled']['workers']} worker(s), "
+                        f"speedup {entry['speedup']:.2f}x, "
+                        f"identical={entry['identical']})",
             )
     sweep = measure_period_sweep(scale=scale)
-    if progress is not None:
+    if _OBS.sinks:
         for s in sweep["sweeps"]:
-            progress(
-                f"period sweep {s['heuristic']:<11} "
-                f"{s['n_sweep_points']:4d} points, "
-                f"{s['n_builds_warm']:4d} builds: "
-                f"naive {s['naive']['sweep_points_per_sec']:7.1f} pts/s, "
-                f"warm {s['warm']['sweep_points_per_sec']:7.1f} pts/s "
-                f"(speedup {s['speedup']:.2f}x, identical={s['identical']})"
+            _OBS.event(
+                "bench", step="period-sweep", heuristic=s["heuristic"],
+                message=f"period sweep {s['heuristic']:<11} "
+                        f"{s['n_sweep_points']:4d} points, "
+                        f"{s['n_builds_warm']:4d} builds: "
+                        f"naive {s['naive']['sweep_points_per_sec']:7.1f} pts/s, "
+                        f"warm {s['warm']['sweep_points_per_sec']:7.1f} pts/s "
+                        f"(speedup {s['speedup']:.2f}x, identical={s['identical']})",
             )
     campaign = measure_campaign_run()
-    if progress is not None:
-        progress(
-            f"campaign {campaign['spec']:<18} "
-            f"serial {campaign['serial']['cells_per_sec']:7.1f} cells/s, "
-            f"sharded {campaign['sharded']['cells_per_sec']:7.1f} cells/s "
-            f"({campaign['sharded']['workers']} worker(s), "
-            f"identical={campaign['identical']})"
+    if _OBS.sinks:
+        _OBS.event(
+            "bench", step="campaign", spec=campaign["spec"],
+            message=f"campaign {campaign['spec']:<18} "
+                    f"serial {campaign['serial']['cells_per_sec']:7.1f} cells/s, "
+                    f"sharded {campaign['sharded']['cells_per_sec']:7.1f} cells/s "
+                    f"({campaign['sharded']['workers']} worker(s), "
+                    f"identical={campaign['identical']})",
         )
     return {
         "benchmark": "experiment_grid",

@@ -99,13 +99,6 @@ _NO_SHARED = object()
 #: pool load-balanced while still amortizing per-task dispatch overhead.
 _CHUNKS_PER_WORKER = 4
 
-#: With a shared payload *and* progress streaming, the payload travels with
-#: every chunk, so the chunk count is the payload-copy count: two per worker
-#: bounds the serialization overhead at 2x the quiet-map minimum while still
-#: draining progress in sub-grid bursts.  Payload copies stay O(workers) in
-#: every mode — never O(cells).
-_SHARED_CHUNKS_PER_WORKER = 2
-
 #: Maps whose estimated total serial cost (``cost_hint * n_items``) falls
 #: below this many seconds run inline even when a pool is configured: at
 #: that size pool spawn + payload pickling dominate and the pooled "speedup"
@@ -142,8 +135,7 @@ def _run_shared_chunk(
 
     ``shared`` travels with the chunk submission, so it is serialized once
     per chunk — and the executor sizes shared-payload dispatches at one
-    chunk per worker (a few when per-cell progress streaming is requested),
-    never once per cell.
+    chunk per worker, never once per cell.
     """
     return [fn(shared, item) for item in chunk]
 
@@ -315,7 +307,6 @@ class ExperimentExecutor:
         fn: Callable[..., _R],
         items: Sequence[_T],
         *,
-        progress: Optional[Callable[[int, _T, _R], None]] = None,
         shared: object = _NO_SHARED,
         cache: Optional[MapCache] = None,
         cost_hint: Optional[float] = None,
@@ -326,29 +317,20 @@ class ExperimentExecutor:
         ``shared``, ``fn(shared, item)`` is called instead and the payload
         travels with the chunk submissions instead of with every cell — the
         idiom for grids whose cells reference the same large immutable
-        platform/workload state.  A quiet shared map uses exactly one chunk
-        per worker (payload serialized once per worker); when ``progress``
-        is given, two chunks per worker are used instead, trading one extra
-        payload copy per worker for streaming granularity and load
-        balancing.  Either way the payload-copy count is O(workers), never
-        O(cells).  The flip side of static contiguous chunks is skew: a
-        quiet map whose expensive cells cluster in one chunk leaves the
-        other workers idle at the tail — pass ``progress`` (finer chunks)
-        or skip ``shared`` (pure load-balanced dispatch) for strongly
-        heterogeneous cell costs.
-
-        ``progress(index, item, result)`` fires in the caller's process in
-        submission order as results drain — one call per item, delivered as
-        each chunk completes.
+        platform/workload state.  A shared map uses exactly one chunk per
+        worker, so the payload is serialized once per worker — O(workers),
+        never O(cells).  The flip side of static contiguous chunks is skew:
+        a map whose expensive cells cluster in one chunk leaves the other
+        workers idle at the tail — skip ``shared`` (pure load-balanced
+        dispatch) for strongly heterogeneous cell costs.
 
         ``cache`` (a :class:`MapCache`) short-circuits items whose results
         are already in the result store: hits are served without dispatching
-        anything (their ``progress`` fires first, in submission order), the
-        remaining misses run through the pool exactly as above, and each
-        miss is written back to the store *as it drains* — so an interrupted
-        map resumes from every cell that already landed.  The returned list
-        is always in submission order, element-for-element identical to an
-        uncached map.
+        anything, the remaining misses run through the pool exactly as
+        above, and each miss is written back to the store *as it drains* —
+        so an interrupted map resumes from every cell that already landed.
+        The returned list is always in submission order, element-for-element
+        identical to an uncached map.
 
         ``cost_hint`` is the caller's estimate of one item's serial cost in
         seconds; when ``cost_hint * len(items)`` falls below
@@ -371,41 +353,46 @@ class ExperimentExecutor:
         if self._closed:
             raise ValidationError("ExperimentExecutor is closed")
         items = list(items)
-        if cache is not None:
-            results_by_index: list[Optional[_R]] = [
-                cache.lookup(item) for item in items
-            ]
-            miss_indexes = [
-                i for i, result in enumerate(results_by_index) if result is None
-            ]
-            if _OBS.enabled:
-                _OBS.count(
-                    "repro_executor_cache_hits_total",
-                    len(items) - len(miss_indexes),
-                )
-                _OBS.count("repro_executor_cache_misses_total", len(miss_indexes))
-            if progress is not None:
-                for i, result in enumerate(results_by_index):
-                    if result is not None:
-                        progress(i, items[i], result)
-
-            def on_miss(position: int, item: _T, result: _R) -> None:
-                index = miss_indexes[position]
-                cache.save(item, result)
-                results_by_index[index] = result
-                if progress is not None:
-                    progress(index, item, result)
-
-            # Write-back rides the progress hook so it happens incrementally
-            # as chunks drain, not after the whole map joins.
-            self.map(
-                fn,
-                [items[i] for i in miss_indexes],
-                progress=on_miss,
-                shared=shared,
-                cost_hint=cost_hint,
+        if cache is None:
+            return self._dispatch(fn, items, shared, cost_hint, None)
+        results_by_index: list[Optional[_R]] = [
+            cache.lookup(item) for item in items
+        ]
+        miss_indexes = [
+            i for i, result in enumerate(results_by_index) if result is None
+        ]
+        if _OBS.enabled:
+            _OBS.count(
+                "repro_executor_cache_hits_total",
+                len(items) - len(miss_indexes),
             )
-            return results_by_index  # type: ignore[return-value]
+            _OBS.count("repro_executor_cache_misses_total", len(miss_indexes))
+
+        def on_miss(position: int, result: _R) -> None:
+            index = miss_indexes[position]
+            cache.save(items[index], result)
+            results_by_index[index] = result
+
+        # Write-back rides the per-result hook so it happens incrementally
+        # as chunks drain, not after the whole map joins.
+        self._dispatch(
+            fn, [items[i] for i in miss_indexes], shared, cost_hint, on_miss
+        )
+        return results_by_index  # type: ignore[return-value]
+
+    def _dispatch(
+        self,
+        fn: Callable[..., _R],
+        items: list[_T],
+        shared: object,
+        cost_hint: Optional[float],
+        on_result: Optional[Callable[[int, _R], None]],
+    ) -> list[_R]:
+        """Run ``items`` inline or chunked on the pool (see :meth:`map`).
+
+        ``on_result(index, result)`` fires in submission order as results
+        drain; :meth:`map`'s cache write-back is its one user.
+        """
         has_shared = shared is not _NO_SHARED
         n = len(items)
         run_serial = self._n_workers <= 1 or n <= 1
@@ -415,20 +402,20 @@ class ExperimentExecutor:
             and cost_hint * n < _SERIAL_FALLBACK_SECONDS
         ):
             run_serial = True
+            _OBS.count("repro_executor_serial_fallback_total")
         if run_serial:
             results: list[_R] = []
             for index, item in enumerate(items):
                 result = fn(shared, item) if has_shared else fn(item)
-                if progress is not None:
-                    progress(index, item, result)
+                if on_result is not None:
+                    on_result(index, result)
                 results.append(result)
             return results
 
         # Chunked dispatch.  Chunks are contiguous, so flattening the chunk
         # results in submission order reproduces the serial output order.
         if has_shared:
-            per_worker = 1 if progress is None else _SHARED_CHUNKS_PER_WORKER
-            n_chunks = min(self._n_workers * per_worker, n)
+            n_chunks = min(self._n_workers, n)
         else:
             n_chunks = min(self._n_workers * _CHUNKS_PER_WORKER, n)
         _OBS.count("repro_executor_chunks_total", n_chunks)
@@ -478,9 +465,8 @@ class ExperimentExecutor:
                         fn, chunk, has_shared, shared
                     )
                 for offset, result in enumerate(chunk_results):
-                    if progress is not None:
-                        index = chunk_start + offset
-                        progress(index, items[index], result)
+                    if on_result is not None:
+                        on_result(chunk_start + offset, result)
                     results.append(result)
         return results
 
@@ -550,7 +536,6 @@ def map_parallel(
     items: Sequence[_T],
     *,
     workers: int | None = None,
-    progress: Optional[Callable[[int, _T, _R], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     shared: object = _NO_SHARED,
     cache: Optional[MapCache] = None,
@@ -569,23 +554,18 @@ def map_parallel(
     shared-payload calling convention ``fn(shared, item)`` — see
     :meth:`ExperimentExecutor.map`.  ``cache`` memoizes items through the
     result store (see :class:`MapCache`).
-
-    ``progress(index, item, result)`` is invoked in the caller's process,
-    once per item in submission order — in parallel runs results drain as
-    each dispatched chunk completes, so long maps report in chunk-sized
-    bursts instead of staying silent until the pool joins.
     """
     if executor is not None:
-        return executor.map(fn, items, progress=progress, shared=shared,
-                            cache=cache, cost_hint=cost_hint)
+        return executor.map(fn, items, shared=shared, cache=cache,
+                            cost_hint=cost_hint)
     # Ephemeral pool for this one call: never spawn more workers than there
     # are items (a persistent executor keeps its full size because later
     # maps may be larger).
     items = list(items)
     n_workers = max(1, min(resolve_workers(workers), len(items)))
     with ExperimentExecutor(n_workers) as pool:
-        return pool.map(fn, items, progress=progress, shared=shared,
-                        cache=cache, cost_hint=cost_hint)
+        return pool.map(fn, items, shared=shared, cache=cache,
+                        cost_hint=cost_hint)
 
 
 @dataclass(frozen=True)
@@ -902,7 +882,6 @@ def run_grid(
     *,
     max_time: float = float("inf"),
     workers: int | None = None,
-    progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> ExperimentGrid:
@@ -920,18 +899,11 @@ def run_grid(
         and deterministic — scenario randomness is fixed when the scenarios
         are built — and results are collected in submission order, so the
         grid is identical whatever the worker count.
-    progress:
-        Optional callback receiving one human-readable line per completed
-        cell (``cell 3/9: mixA x MaxSysEff ...``), so long campaigns stream
-        status instead of staying silent until the grid finishes (parallel
-        runs deliver the lines in chunk-sized bursts, in submission order).
-        Called in the driving process only; it does not affect results.
     executor:
         Reuse a caller-owned :class:`ExperimentExecutor` (``workers`` is
         then ignored) so consecutive grids share one pool.  Either way the
         grid axes are shipped to the workers as a per-chunk shared payload
-        (once per worker, a few times with progress streaming); the
-        per-cell messages are just index pairs.
+        (once per worker); the per-cell messages are just index pairs.
     store:
         Optional :class:`repro.store.ResultStore`: cells whose keys are
         already stored are served without simulating anything, and fresh
@@ -951,20 +923,6 @@ def run_grid(
     if store is not None:
         cache = _GridCellCache(store, shared[0], shared[1], max_time)
 
-    on_cell = None
-    if progress is not None:
-        n_cells = len(cells)
-
-        def on_cell(index: int, cell, result: CaseResult) -> None:
-            from repro.experiments.reporting import percent, ratio
-
-            progress(
-                f"cell {index + 1}/{n_cells}: {result.scenario_label} x "
-                f"{result.scheduler_label} — SysEff "
-                f"{percent(result.system_efficiency)}%, dilation "
-                f"{ratio(result.dilation)}"
-            )
-
     grid = ExperimentGrid()
     with _OBS.span(
         "run_grid",
@@ -972,16 +930,27 @@ def run_grid(
         scenarios=len(scenarios),
         cases=len(cases),
     ):
-        for result in map_parallel(
+        results = map_parallel(
             _run_grid_cell_shared,
             cells,
             workers=workers,
-            progress=on_cell,
             executor=executor,
             shared=shared,
             cache=cache,
             cost_hint=_grid_cost_hint(scenarios),
-        ):
+        )
+        for index, result in enumerate(results):
             _OBS.count("repro_grid_cells_total")
+            if _OBS.sinks:
+                from repro.experiments.reporting import percent, ratio
+
+                _OBS.event(
+                    "progress", step="cell", cell=index + 1, n_cells=len(results),
+                    scenario=result.scenario_label, scheduler=result.scheduler_label,
+                    message=f"cell {index + 1}/{len(results)}: {result.scenario_label} x "
+                            f"{result.scheduler_label} — SysEff "
+                            f"{percent(result.system_efficiency)}%, dilation "
+                            f"{ratio(result.dilation)}",
+                )
             grid.add(result)
     return grid

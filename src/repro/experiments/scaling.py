@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.application import Application
 from repro.core.platform import Platform
 from repro.core.scenario import Scenario
+from repro.obs.telemetry import recorder as _obs_recorder
 from repro.online.registry import make_scheduler
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.metrics import SimulationResult
@@ -52,6 +53,9 @@ __all__ = [
     "run_bench_cli",
     "write_bench_json",
 ]
+
+#: Process-wide telemetry funnel; bench status events go through it.
+_OBS = _obs_recorder()
 
 #: The (n_apps, n_instances) cells of the scaling grid.  500 × 100 is the
 #: headline cell: large enough that the seed engine's O(n_apps × n_instances)
@@ -209,13 +213,12 @@ def run_scaling_suite(
     seed: int = 2015,
     events_budget: int = 4000,
     include_reference: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Measure every cell of ``grid`` and assemble the benchmark payload.
 
     The payload is what ``BENCH_engine.json`` serializes: suite-level
-    metadata plus one entry per cell (see :func:`measure_cell`).  Pass
-    ``progress`` (e.g. ``print``) to follow long suites.
+    metadata plus one entry per cell (see :func:`measure_cell`).  Each
+    measured cell emits one ``bench`` status event.
     """
     if not grid:
         raise ValidationError("run_scaling_suite needs at least one grid cell")
@@ -230,7 +233,7 @@ def run_scaling_suite(
             include_reference=include_reference,
         )
         cells.append(cell)
-        if progress is not None:
+        if _OBS.sinks:
             line = (
                 f"{n_apps:4d} apps x {n_instances:3d} inst: "
                 f"engine {cell['batched']['events_per_sec']:8.0f} ev/s"
@@ -240,7 +243,7 @@ def run_scaling_suite(
                     f"  (reference {cell['reference']['events_per_sec']:8.0f} ev/s, "
                     f"speedup {cell['batched_speedup']:.2f}x)"
                 )
-            progress(line)
+            _OBS.event("bench", step="engine-cell", n_apps=n_apps, message=line)
     return {
         "benchmark": "engine_scaling",
         "scheduler": scheduler,
@@ -258,7 +261,6 @@ def run_bench_cli(
     scale: int = 1,
     scheduler: str = "MaxSysEff",
     include_reference: bool = True,
-    progress: Optional[Callable[[str], None]] = print,
     error: Optional[Callable[[str], None]] = None,
     grid_out: Optional[str] = "BENCH_grid.json",
     include_engine: bool = True,
@@ -271,7 +273,8 @@ def run_bench_cli(
     (:func:`repro.experiments.grid_bench.run_grid_bench` — serial vs pooled
     spec runs plus the warm-vs-naive period sweep), writing ``out`` and
     ``grid_out`` respectively.  ``grid_out=None`` skips the grid half;
-    ``include_engine=False`` skips the engine half.
+    ``include_engine=False`` skips the engine half.  The suites' ``bench``
+    status events and the written paths are printed to stdout.
 
     Returns the process exit status: 0 on success, 1 when any ``identical``
     flag in either payload is false — a determinism regression (the
@@ -294,44 +297,46 @@ def run_bench_cli(
         raise ValidationError(f"scheduler: {message}") from exc
 
     status = 0
-    if include_engine:
-        payload = run_scaling_suite(
-            scheduler=scheduler,
-            events_budget=4000 * scale,
-            include_reference=include_reference,
-            progress=progress,
-        )
-        path = write_bench_json(payload, out)
-        if progress is not None:
-            progress(f"wrote {path}")
-        broken = [
-            f"{c['n_apps']}x{c['n_instances']}"
-            for c in payload["cells"]
-            if c.get("identical") is False
-        ]
-        if broken:
-            error(
-                f"ENGINE MISMATCH on cells: {', '.join(broken)} — the "
-                "engine no longer reproduces the reference timeline"
+    with _OBS.subscribed(_print_bench_event):
+        if include_engine:
+            payload = run_scaling_suite(
+                scheduler=scheduler,
+                events_budget=4000 * scale,
+                include_reference=include_reference,
             )
-            status = 1
+            print(f"wrote {write_bench_json(payload, out)}")
+            broken = [
+                f"{c['n_apps']}x{c['n_instances']}"
+                for c in payload["cells"]
+                if c.get("identical") is False
+            ]
+            if broken:
+                error(
+                    f"ENGINE MISMATCH on cells: {', '.join(broken)} — the "
+                    "engine no longer reproduces the reference timeline"
+                )
+                status = 1
 
-    if grid_out is not None:
-        from repro.experiments.grid_bench import grid_bench_broken, run_grid_bench
+        if grid_out is not None:
+            from repro.experiments.grid_bench import grid_bench_broken, run_grid_bench
 
-        grid_payload = run_grid_bench(scale=scale, progress=progress)
-        path = write_bench_json(grid_payload, grid_out)
-        if progress is not None:
-            progress(f"wrote {path}")
-        broken = grid_bench_broken(grid_payload)
-        if broken:
-            error(
-                f"GRID MISMATCH on: {', '.join(broken)} — a pooled or "
-                "warm-started run no longer reproduces the serial/naive "
-                "results"
-            )
-            status = 1
+            grid_payload = run_grid_bench(scale=scale)
+            print(f"wrote {write_bench_json(grid_payload, grid_out)}")
+            broken = grid_bench_broken(grid_payload)
+            if broken:
+                error(
+                    f"GRID MISMATCH on: {', '.join(broken)} — a pooled or "
+                    "warm-started run no longer reproduces the serial/naive "
+                    "results"
+                )
+                status = 1
     return status
+
+
+def _print_bench_event(event: str, message: str = "", **fields: object) -> None:
+    """The stdout sink of :func:`run_bench_cli`: one line per bench event."""
+    if event == "bench":
+        print(message)
 
 
 def write_bench_json(payload: Mapping, path: str = "BENCH_engine.json") -> str:

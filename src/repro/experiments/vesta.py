@@ -28,7 +28,7 @@ configuration) and Figure 16 (per-application dilation in the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.objectives import (
     ApplicationOutcome,
@@ -47,6 +47,7 @@ from repro.experiments.runner import (
     MapCache,
     map_parallel,
 )
+from repro.obs.telemetry import recorder as _obs_recorder
 from repro.online.baselines import ior_scheduler
 from repro.online.registry import make_scheduler
 from repro.simulator.engine import SimulatorConfig, simulate
@@ -82,6 +83,9 @@ _HEURISTIC_NAMES = {
     "MaxSysEff": "Priority-MaxSysEff",
     "MinDilation": "Priority-MinDilation",
 }
+
+#: Process-wide telemetry funnel; status events go through it.
+_OBS = _obs_recorder()
 
 
 @dataclass(frozen=True)
@@ -292,7 +296,6 @@ def vesta_experiment(
     overhead: OverheadModel = DEFAULT_OVERHEAD,
     rng: RngLike = 0,
     workers: int | None = None,
-    progress: Optional[Callable[[str], None]] = None,
     executor: Optional[ExperimentExecutor] = None,
     store: Optional[ResultStore] = None,
 ) -> VestaExperimentResult:
@@ -304,7 +307,8 @@ def vesta_experiment(
     scenario from that seed, so the grid is identical whatever the worker
     count; a live ``Generator`` is accepted only in serial runs (where its
     state advances across cells exactly as before) and rejected otherwise.
-    ``progress`` receives one line per completed cell, in submission order.
+    Each collected cell emits one ``progress`` status event (see
+    ``docs/observability.md``), in submission order.
     ``executor`` reuses a caller-owned pool; the overhead model and seed
     travel as one shared payload per worker.  ``store`` memoizes cells in
     the content-addressed result store — integer ``rng`` seeds only (a live
@@ -318,16 +322,6 @@ def vesta_experiment(
         for configuration in configurations
     ]
 
-    on_cell = None
-    if progress is not None:
-        n_cells = len(cells)
-
-        def on_cell(index: int, cell, case: VestaCase) -> None:
-            progress(
-                f"cell {index + 1}/{n_cells}: {case.scenario} x "
-                f"{case.configuration} done"
-            )
-
     cache = None
     # Integer seeds only: rng=None documents "fresh OS entropy per run", so
     # memoizing it would freeze one run's random draw forever; live
@@ -340,12 +334,19 @@ def vesta_experiment(
             _run_vesta_cell_shared,
             cells,
             workers=workers,
-            progress=on_cell,
             executor=executor,
             shared=(overhead, rng),
             cache=cache,
         )
     )
+    if _OBS.sinks:
+        for index, case in enumerate(result.cases):
+            _OBS.event(
+                "progress", step="cell", cell=index + 1, n_cells=len(cells),
+                scenario=case.scenario, configuration=case.configuration,
+                message=f"cell {index + 1}/{len(cells)}: {case.scenario} x "
+                        f"{case.configuration} done",
+            )
     return result
 
 

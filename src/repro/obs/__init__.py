@@ -1,9 +1,10 @@
 """Determinism-safe observability: metrics, spans, traces, live progress.
 
 ``repro.obs`` is the one place in the tree that is allowed to read wall
-clocks: everything else observes *through* it, and the whole package is a
+clocks: everything else observes *through* it.  Metrics and spans are a
 no-op unless a process explicitly enables the recorder (``repro run
---trace/--metrics/--profile`` or a campaign coordinator/worker).  The
+--trace/--metrics/--profile``); status events reach only the sinks a
+command subscribes (``--progress``, ``--webhook``).  The
 package is deliberately excluded from
 :data:`repro.store.fingerprint.PRODUCING_PACKAGES` and reprolint rule
 O001 statically guarantees telemetry can never reach store canonicalizers

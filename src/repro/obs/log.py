@@ -1,12 +1,11 @@
-"""Structured JSON-lines logging and the progress webhook.
+"""The progress webhook: an event sink for external watchers.
 
-:class:`JsonLogger` turns :meth:`Recorder.event` calls into one JSON
-object per line on any text stream/file (campaign coordinators log their
-lifecycle this way).  :class:`ProgressWebhook` is the external-watcher
-hook behind ``--webhook TARGET``: events are appended as JSONL when
-``TARGET`` is a path, or POSTed as JSON when it is an ``http(s)://`` URL.
-Webhook delivery is strictly fire-and-forget — a dead listener increments
-a counter and never fails (or slows) the run it is watching.
+:class:`ProgressWebhook` is the sink behind ``--webhook TARGET``,
+subscribed to the recorder's status events (:meth:`Recorder.subscribed`):
+events are appended as JSONL when ``TARGET`` is a path, or POSTed as JSON
+when it is an ``http(s)://`` URL.  Webhook delivery is strictly
+fire-and-forget — a dead listener increments a counter and never fails
+(or slows) the run it is watching.
 """
 
 from __future__ import annotations
@@ -14,55 +13,16 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Union
+from typing import Dict, Mapping, Optional
 
-from repro.obs.telemetry import LabelValue, Recorder
+from repro.obs.telemetry import Recorder
 
-__all__ = ["JsonLogger", "ProgressWebhook", "WEBHOOK_SCHEMA"]
+__all__ = ["ProgressWebhook", "WEBHOOK_SCHEMA"]
 
 WEBHOOK_SCHEMA = "repro-progress/1"
 
 #: Seconds an HTTP webhook POST may take before being abandoned.
 _WEBHOOK_TIMEOUT = 2.0
-
-
-class JsonLogger:
-    """One JSON object per line, ``{"event": ..., "elapsed_seconds": ...}``."""
-
-    def __init__(
-        self,
-        recorder: Recorder,
-        stream: Optional[TextIO] = None,
-        path: Optional[Union[str, Path]] = None,
-    ) -> None:
-        if (stream is None) == (path is None):
-            raise ValueError("JsonLogger needs exactly one of stream/path")
-        self._recorder = recorder
-        self._stream = stream
-        self._path = Path(path) if path is not None else None
-        if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._path.write_text("", encoding="utf-8")
-        self._lock = threading.Lock()
-
-    def log(self, event: str, fields: Dict[str, LabelValue]) -> None:
-        line: Dict[str, object] = {
-            "event": event,
-            "elapsed_seconds": round(self._recorder.elapsed_seconds(), 6),
-        }
-        line.update(fields)
-        text = json.dumps(line, sort_keys=True) + "\n"
-        with self._lock:
-            if self._stream is not None:
-                self._stream.write(text)
-                self._stream.flush()
-            elif self._path is not None:
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(text)
-
-    def install(self) -> None:
-        """Route ``recorder.event(...)`` calls into this logger."""
-        self._recorder.install_log_hook(self.log)
 
 
 class ProgressWebhook:
@@ -73,10 +33,18 @@ class ProgressWebhook:
     or an ``http(s)://`` URL (each event is POSTed as a JSON body with
     ``Content-Type: application/json``).  Delivery failures are counted
     (``errors`` / the ``obs_webhook_errors`` counter) but never raised.
+    ``stamp`` fields (``repro run`` stamps ``spec``) are added to every
+    event; an event's own fields win on a clash.
     """
 
-    def __init__(self, target: str, recorder: Optional[Recorder] = None) -> None:
+    def __init__(
+        self,
+        target: str,
+        recorder: Optional[Recorder] = None,
+        stamp: Optional[Mapping[str, object]] = None,
+    ) -> None:
         self.target = target
+        self.stamp = dict(stamp or {})
         self.is_http = target.startswith("http://") or target.startswith("https://")
         self.sent = 0
         self.errors = 0
@@ -99,6 +67,7 @@ class ProgressWebhook:
         }
         if self._recorder is not None:
             body["elapsed_seconds"] = round(self._recorder.elapsed_seconds(), 6)
+        body.update(self.stamp)
         body.update(fields)
         text = json.dumps(body, sort_keys=True)
         try:

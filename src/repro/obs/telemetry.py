@@ -10,6 +10,13 @@ results (the isolation contract is tested dynamically in
 ``tests/test_obs_isolation.py`` and enforced statically by reprolint rule
 O001).
 
+Status events are the one exception to "off until enabled":
+:meth:`Recorder.event` delivers to every sink installed with
+:meth:`Recorder.subscribed` (``--progress``'s stderr printer, the
+``--webhook`` target) whether or not metrics and spans are on.  Emitting
+sites test :attr:`Recorder.sinks` first, so with no sink installed they
+build no message and cost one attribute read.
+
 Clock discipline: this module is the only sanctioned home for
 ``time.perf_counter``/``time.monotonic`` reads outside the benchmarks —
 spans carry *relative* microseconds since :meth:`Recorder.enable`, so no
@@ -23,7 +30,7 @@ import threading
 import time
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Dict, Iterator, List, Mapping, Optional, Protocol, Tuple, Union
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Mapping, Optional, Protocol, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -31,6 +38,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Recorder",
+    "Sink",
     "SpanRecord",
     "count",
     "gauge_set",
@@ -41,6 +49,10 @@ __all__ = [
 ]
 
 LabelValue = Union[str, int, float, bool]
+
+#: An event sink: called as ``sink(event, **fields)`` for every
+#: :meth:`Recorder.event`.
+Sink = Callable[..., None]
 LabelKey = Tuple[Tuple[str, str], ...]
 MetricKey = Tuple[str, LabelKey]
 
@@ -265,7 +277,9 @@ class Recorder:
         self._stack = _SpanStack()
         self._profiler: Optional[StageProfilerLike] = None
         self._stage_hook: Optional[Callable[[str], None]] = None
-        self._log_hook: Optional[Callable[[str, Dict[str, LabelValue]], None]] = None
+        #: Installed event sinks; replaced (never mutated) so :meth:`event`
+        #: can iterate without a lock.  Empty means nobody is listening.
+        self.sinks: Tuple[Sink, ...] = ()
 
     # -- lifecycle ----------------------------------------------------- #
     def enable(self) -> None:
@@ -278,7 +292,7 @@ class Recorder:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop all recorded state (tests and campaign workers)."""
+        """Drop all recorded state (sinks stay; :meth:`subscribed` owns them)."""
         with self._lock:
             self.enabled = False
             self.registry = MetricsRegistry()
@@ -286,7 +300,6 @@ class Recorder:
             self._spans_dropped = 0
             self._profiler = None
             self._stage_hook = None
-            self._log_hook = None
 
     def install_profiler(self, profiler: Optional[StageProfilerLike]) -> None:
         self._profiler = profiler
@@ -295,11 +308,19 @@ class Recorder:
         """``hook(stage_name)`` fires after each closed stage (metrics sinks)."""
         self._stage_hook = hook
 
-    def install_log_hook(
-        self, hook: Optional[Callable[[str, Dict[str, LabelValue]], None]]
-    ) -> None:
-        """``hook(event, fields)`` receives every :meth:`event` call."""
-        self._log_hook = hook
+    @contextmanager
+    def subscribed(self, *sinks: Sink) -> Iterator[None]:
+        """Deliver every :meth:`event` to ``sinks`` until the block exits."""
+        with self._lock:
+            self.sinks = self.sinks + sinks
+        try:
+            yield
+        finally:
+            with self._lock:
+                remaining = list(self.sinks)
+                for sink in sinks:
+                    remaining.remove(sink)
+                self.sinks = tuple(remaining)
 
     # -- timebase ------------------------------------------------------ #
     def elapsed_seconds(self) -> float:
@@ -328,13 +349,18 @@ class Recorder:
             return
         self.registry.histogram(name, **labels).observe(value)
 
-    def event(self, event: str, **fields: LabelValue) -> None:
-        """Emit a structured log event (no-op without an installed sink)."""
-        if not self.enabled:
-            return
-        hook = self._log_hook
-        if hook is not None:
-            hook(event, dict(fields))
+    def event(self, event: str, **fields: Any) -> None:
+        """Deliver a status event to every installed sink.
+
+        Independent of :meth:`enable`.  A sink that raises is counted
+        (``obs_sink_errors_total``, when metrics are on) and skipped: an
+        observer never fails or stalls the run it watches.
+        """
+        for sink in self.sinks:
+            try:
+                sink(event, **fields)
+            except Exception:
+                self.count("obs_sink_errors_total")
 
     # -- spans --------------------------------------------------------- #
     def span(

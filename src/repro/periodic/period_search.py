@@ -35,6 +35,7 @@ from typing import Literal, Optional, Sequence
 
 from repro.core.application import Application
 from repro.core.platform import Platform
+from repro.obs.telemetry import recorder as _obs_recorder
 from repro.periodic.heuristics import PeriodicHeuristic, application_profiles
 from repro.periodic.schedule import PeriodicSchedule
 from repro.utils.validation import ValidationError, check_positive
@@ -82,6 +83,10 @@ class PeriodSearchResult:
 #: reuse, no validity bookkeeping): reuse hits are too rare at that size to
 #: pay for the tracking.  Pinned by tests/test_period_warm_start.py.
 _WARM_START_MIN_POINTS = 32
+
+#: Process-wide telemetry funnel: counts the warm-start bypass (a no-op
+#: unless a CLI/benchmark enabled the recorder).
+_OBS = _obs_recorder()
 
 
 def minimum_period(platform: Platform, applications: Sequence[Application]) -> float:
@@ -159,6 +164,7 @@ def search_period(
         if estimated_points < _WARM_START_MIN_POINTS:
             warm_start = False
             track_validity = False
+            _OBS.count("repro_period_warm_start_bypass_total")
 
     profiles = application_profiles(platform, applications)
     best_schedule: PeriodicSchedule | None = None

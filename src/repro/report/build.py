@@ -27,7 +27,8 @@ from typing import Optional, Sequence, Union
 
 from repro import __version__
 from repro.config import load_spec, run_spec
-from repro.config.run import ProgressCallback, SpecRunResult
+from repro.config.run import SpecRunResult
+from repro.obs.telemetry import recorder as _obs_recorder
 from repro.report.charts import matplotlib_available, render_png, render_text
 from repro.report.figures import FigureData, extract_figures
 from repro.store import ResultStore
@@ -35,6 +36,9 @@ from repro.utils.io import atomic_write_text
 from repro.utils.validation import ValidationError
 
 __all__ = ["RenderedFigure", "SpecSection", "ReportResult", "build_report"]
+
+#: Process-wide telemetry funnel; status events go through it.
+_OBS = _obs_recorder()
 
 #: Report flavours accepted by ``build_report(formats=...)``.
 REPORT_FORMATS: tuple[str, ...] = ("html", "markdown")
@@ -77,7 +81,6 @@ def build_report(
     out_dir: Union[str, Path] = "reports",
     formats: Sequence[str] = ("html",),
     force_text: bool = False,
-    progress: Optional[ProgressCallback] = None,
 ) -> ReportResult:
     """Run the specs (through the store) and write the artifact report.
 
@@ -105,9 +108,12 @@ def build_report(
     figure_paths: list[Path] = []
     for index, spec_path in enumerate(spec_paths):
         spec = load_spec(spec_path)
-        if progress is not None:
-            progress(f"report: running {spec_path} (kind {spec.kind})")
-        result = run_spec(spec, progress=progress, store=store)
+        if _OBS.sinks:
+            _OBS.event(
+                "progress", step="report-spec", spec=spec.name,
+                message=f"report: running {spec_path} (kind {spec.kind})",
+            )
+        result = run_spec(spec, store=store)
         section = SpecSection(spec_path=str(spec_path), result=result)
         # The section index disambiguates specs that share a file stem
         # (v1/figure6.toml vs v2/figure6.toml must not overwrite each other).
@@ -122,10 +128,11 @@ def build_report(
                 rendered.text = render_text(figure)
             section.figures.append(rendered)
         sections.append(section)
-        if progress is not None:
-            progress(
-                f"report: {spec.name} — {len(section.figures)} figure(s) "
-                f"rendered ({'png' if use_mpl else 'text'})"
+        if _OBS.sinks:
+            _OBS.event(
+                "progress", step="report-rendered", spec=spec.name,
+                message=f"report: {spec.name} — {len(section.figures)} figure(s) "
+                        f"rendered ({'png' if use_mpl else 'text'})",
             )
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,11 +7,14 @@ scenarios reused across modules.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.core.application import Application
 from repro.core.platform import BurstBufferSpec, Platform
 from repro.core.scenario import Scenario
+from repro.obs.telemetry import recorder
 
 
 @pytest.fixture
@@ -83,3 +86,25 @@ def heterogeneous_scenario(small_platform) -> Scenario:
         applications=(big, small1, small2),
         label="heterogeneous",
     )
+
+
+@pytest.fixture
+def status_lines():
+    """``with status_lines() as lines:`` collects the status messages.
+
+    Subscribes a sink to the process-wide recorder for the block, the way
+    ``repro run --progress`` does, and appends every event's ``message``.
+    """
+
+    @contextlib.contextmanager
+    def collect():
+        lines: list[str] = []
+
+        def sink(event: str, message: str | None = None, **fields: object) -> None:
+            if message is not None:
+                lines.append(message)
+
+        with recorder().subscribed(sink):
+            yield lines
+
+    return collect

@@ -121,6 +121,24 @@ class TestMain:
         assert main(["validate", str(bad)]) == 2
         assert "duplicate scenario label" in capsys.readouterr().err
 
+    def test_validate_checks_figure6_mixes_fit_the_platform(
+        self, tmp_path, capsys
+    ):
+        """A figure6 panel too big for its platform fails validate, not run."""
+        bad = tmp_path / "tiny_machine.toml"
+        bad.write_text(
+            '[experiment]\nkind = "figure6"\n\n'
+            '[figure6]\npanels = ["10large-20"]\n\n'
+            '[figure6.platform]\npreset = "generic"\nprocessors = 1\n'
+            'node_bandwidth = 0.1\nsystem_bandwidth = 1.0\n'
+        )
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "figure6.platform" in err and "only has 1" in err
+        assert "Traceback" not in err
+        bundled = REPO_ROOT / "examples" / "specs" / "figure6.toml"
+        assert main(["validate", str(bundled)]) == 0
+
     def test_validate_bad_spec_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"
         bad.write_text('[experiment]\nkind = "nope"\n')

@@ -9,8 +9,8 @@ ROADMAP coverage gap:
 * **equivalence** — a spec-driven run matches the equivalent hand-built
   calls into :mod:`repro.periodic.period_search` and
   :mod:`repro.analysis`;
-* **progress** — the callback threaded from ``run_spec`` fires once per
-  cell / level / study, serially and in parallel;
+* **progress** — ``run_spec`` emits one status event per cell / level /
+  study, serially and in parallel;
 * **errors** — malformed periodic/analysis specs fail with path-aware
   messages.
 """
@@ -245,24 +245,24 @@ class TestEquivalence:
 
 
 # ---------------------------------------------------------------------- #
-# Progress callbacks
+# Progress events
 # ---------------------------------------------------------------------- #
 class TestProgress:
-    def test_grid_progress_fires_once_per_cell(self):
+    def test_grid_progress_fires_once_per_cell(self, status_lines):
         data = {
             "experiment": {"kind": "grid", "seed": 1, "max_time": 500.0},
             "platform": dict(PLATFORM),
             "scenarios": [{"kind": "mix", "small": 2, "repetitions": 2}],
             "schedulers": {"names": ["FairShare", "MaxSysEff"]},
         }
-        lines: list[str] = []
-        run_spec(parse_spec(data), progress=lines.append)
+        with status_lines() as lines:
+            run_spec(parse_spec(data))
         # 2 repetitions x 2 schedulers.
         assert len(lines) == 4
         assert lines[0].startswith("cell 1/4:")
         assert lines[-1].startswith("cell 4/4:")
 
-    def test_parallel_grid_progress_matches_serial(self):
+    def test_parallel_grid_progress_matches_serial(self, status_lines):
         data = {
             "experiment": {"kind": "grid", "seed": 1, "max_time": 500.0,
                            "workers": 2},
@@ -270,45 +270,40 @@ class TestProgress:
             "scenarios": [{"kind": "mix", "small": 2, "repetitions": 2}],
             "schedulers": {"names": ["FairShare", "MaxSysEff"]},
         }
-        parallel_lines: list[str] = []
-        parallel = run_spec(parse_spec(data), progress=parallel_lines.append)
+        with status_lines() as parallel_lines:
+            parallel = run_spec(parse_spec(data))
         data["experiment"]["workers"] = 1
-        serial_lines: list[str] = []
-        serial = run_spec(parse_spec(data), progress=serial_lines.append)
+        with status_lines() as serial_lines:
+            serial = run_spec(parse_spec(data))
         # Results are collected in submission order, so the streamed lines
         # are identical too — parallelism only changes wall-clock time.
         assert parallel_lines == serial_lines
         assert parallel.records == serial.records
 
-    def test_periodic_progress_covers_sweeps_and_online_cells(self):
-        lines: list[str] = []
-        run_spec(parse_spec(periodic_spec_data()), progress=lines.append)
+    def test_periodic_progress_covers_sweeps_and_online_cells(self, status_lines):
+        with status_lines() as lines:
+            run_spec(parse_spec(periodic_spec_data()))
         sweeps = [line for line in lines if line.startswith("periodic ")]
         cells = [line for line in lines if line.startswith("cell ")]
         assert len(sweeps) == 2  # one per heuristic
         assert len(cells) == 2  # one per online scheduler
         assert len(lines) == 4
 
-    def test_analysis_progress_streams_levels_and_studies(self):
-        lines: list[str] = []
-        run_spec(
-            parse_spec(analysis_spec_data(figures=["figure7"])),
-            progress=lines.append,
-        )
+    def test_analysis_progress_streams_levels_and_studies(self, status_lines):
+        with status_lines() as lines:
+            run_spec(parse_spec(analysis_spec_data(figures=["figure7"])))
         levels = [line for line in lines if line.startswith("sensibility ")]
         # One line per sensibility level, plus the per-cell grid lines from
         # run_grid and the figure summary.
         assert len(levels) == 2
         assert lines[-1].startswith("figure7:")
 
-    def test_no_progress_callback_is_silent_and_identical(self):
-        lines: list[str] = []
-        with_progress = run_spec(
-            parse_spec(periodic_spec_data()), progress=lines.append
-        )
+    def test_no_sink_is_silent_and_identical(self, status_lines):
+        with status_lines() as lines:
+            with_progress = run_spec(parse_spec(periodic_spec_data()))
         without = run_spec(parse_spec(periodic_spec_data()))
         assert with_progress.payload == without.payload
-        assert lines  # the callback actually fired
+        assert lines  # the sink actually received events
 
 
 # ---------------------------------------------------------------------- #

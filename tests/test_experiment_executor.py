@@ -9,8 +9,9 @@ Three concerns:
   ``tests/test_config_spec.py``);
 * **reuse** — one pool serves many maps; it is spawned lazily and at most
   once, and serial executors never spawn at all;
-* **ergonomics** — progress callbacks fire per item in submission order,
-  closed executors refuse work.
+* **ergonomics** — cache write-back lands per item in submission order,
+  closed executors refuse work, and the cost-hint serial fallback is
+  counted.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from repro.core.platform import Platform
 from repro.core.scenario import Scenario
 from repro.experiments.runner import (
     ExperimentExecutor,
+    MapCache,
     SchedulerCase,
     map_parallel,
     run_grid,
 )
+from repro.obs.telemetry import recorder
 from repro.utils.validation import ValidationError
 
 
@@ -56,6 +59,32 @@ def _scale_or_die(shared: int, x: int) -> int:
     if x == 3 and multiprocessing.parent_process() is not None:
         os._exit(1)
     return shared * x
+
+
+class _RecordingCache(MapCache):
+    """Every lookup misses; ``save`` records the write-back order."""
+
+    def __init__(self) -> None:
+        self.saved: list[tuple[int, int]] = []
+
+    def lookup(self, item: object) -> None:
+        return None
+
+    def save(self, item: object, result: object) -> None:
+        self.saved.append((item, result))
+
+
+@pytest.fixture
+def live_recorder():
+    rec = recorder()
+    rec.reset()
+    rec.enable()
+    yield rec
+    rec.reset()
+
+
+def _counter_value(rec, name: str) -> float:
+    return sum(c.value for c in rec.registry.counters() if c.name == name)
 
 
 def _grid_axes() -> tuple[list[Scenario], list[SchedulerCase]]:
@@ -114,15 +143,12 @@ class TestExecutorMap:
             pool.map(_scale, [5, 6, 7], shared=2)
             assert pool._pool is first
 
-    def test_progress_in_submission_order(self):
-        seen: list[tuple[int, int, int]] = []
+    def test_cache_write_back_in_submission_order(self):
+        cache = _RecordingCache()
         with ExperimentExecutor(workers=2) as pool:
-            pool.map(
-                _square,
-                [3, 1, 4, 1, 5],
-                progress=lambda i, item, r: seen.append((i, item, r)),
-            )
-        assert seen == [(0, 3, 9), (1, 1, 1), (2, 4, 16), (3, 1, 1), (4, 5, 25)]
+            out = pool.map(_square, [3, 1, 4, 1, 5], cache=cache)
+        assert out == [9, 1, 16, 1, 25]
+        assert cache.saved == [(3, 9), (1, 1), (4, 16), (1, 1), (5, 25)]
 
     def test_closed_executor_refuses_work(self):
         pool = ExperimentExecutor(workers=2)
@@ -182,16 +208,12 @@ class TestWorkerDeath:
             out = pool.map(_scale_or_die, items, shared=10)
         assert out == [10 * x for x in items]
 
-    def test_progress_still_fires_for_retried_chunks(self):
-        seen: list[int] = []
+    def test_cache_write_back_covers_retried_chunks(self):
+        cache = _RecordingCache()
         items = list(range(8))
         with ExperimentExecutor(workers=2) as pool:
-            pool.map(
-                _square_or_die,
-                items,
-                progress=lambda i, item, r: seen.append(i),
-            )
-        assert seen == list(range(len(items)))
+            pool.map(_square_or_die, items, cache=cache)
+        assert [item for item, _ in cache.saved] == items
 
     def test_executor_remains_usable_after_pool_death(self):
         with ExperimentExecutor(workers=2) as pool:
@@ -209,17 +231,28 @@ class TestWorkerDeath:
 class TestSerialFallback:
     """Satellite 2: tiny maps skip the pool when the cost hint says so."""
 
-    def test_cheap_map_never_spawns_a_pool(self):
+    def test_cheap_map_never_spawns_a_pool(self, live_recorder):
         with ExperimentExecutor(workers=4) as pool:
             out = pool.map(_square, [1, 2, 3], cost_hint=1e-6)
             assert out == [1, 4, 9]
             assert pool._pool is None
+        fallbacks = "repro_executor_serial_fallback_total"
+        assert _counter_value(live_recorder, fallbacks) == 1.0
 
-    def test_expensive_map_still_uses_the_pool(self):
+    def test_expensive_map_still_uses_the_pool(self, live_recorder):
         with ExperimentExecutor(workers=2) as pool:
             out = pool.map(_square, [1, 2, 3], cost_hint=1.0)
             assert out == [1, 4, 9]
             assert pool._pool is not None
+        fallbacks = "repro_executor_serial_fallback_total"
+        assert _counter_value(live_recorder, fallbacks) == 0.0
+
+    def test_serial_executor_is_not_a_fallback(self, live_recorder):
+        # One worker runs inline by configuration, not by the cost hint.
+        with ExperimentExecutor(workers=1) as pool:
+            assert pool.map(_square, [1, 2, 3], cost_hint=1e-6) == [1, 4, 9]
+        fallbacks = "repro_executor_serial_fallback_total"
+        assert _counter_value(live_recorder, fallbacks) == 0.0
 
     def test_no_hint_preserves_old_behaviour(self):
         with ExperimentExecutor(workers=2) as pool:

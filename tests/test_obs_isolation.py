@@ -15,6 +15,8 @@ import json
 
 import pytest
 
+from repro.campaign import CampaignConfig, run_campaign
+from repro.cli import main
 from repro.config import parse_spec, run_spec
 from repro.obs.metrics import MetricsWriter
 from repro.obs.telemetry import recorder
@@ -151,3 +153,52 @@ def test_obs_is_not_a_producing_package():
     # Editing telemetry must never invalidate cached results: repro.obs
     # stays out of the code fingerprint, like the linter and the CLI.
     assert "obs" not in PRODUCING_PACKAGES
+
+
+# ---------------------------------------------------------------------- #
+# Status-event sinks
+# ---------------------------------------------------------------------- #
+def _broken_sink(event: str, **fields: object) -> None:
+    raise RuntimeError(f"sink failure on {event}")
+
+
+def _via_run_spec(tmp_path) -> bytes:
+    return payload_bytes(run_spec(parse_spec(SPECS["grid"])))
+
+
+def _via_run_campaign(tmp_path) -> bytes:
+    spec = parse_spec(SPECS["grid"])
+    store = ResultStore(tmp_path / "store")
+    config = CampaignConfig(
+        workers=2, heartbeat_seconds=0.05, poll_seconds=0.02
+    )
+    outcome = run_campaign(spec, tmp_path / "camp", store=store, config=config)
+    assert outcome.ok and outcome.landed == outcome.n_cells
+    # Every cell is served from the campaign's store: this assembles the
+    # payload without simulating anything.
+    return payload_bytes(run_spec(spec, store=store))
+
+
+@pytest.mark.parametrize("run", [_via_run_spec, _via_run_campaign])
+def test_raising_sink_never_changes_or_stops_a_run(run, tmp_path):
+    bare = run(tmp_path / "bare")
+    rec = recorder()
+    with rec.subscribed(_broken_sink):
+        observed = run(tmp_path / "observed")
+    assert observed == bare
+    assert rec.sinks == ()
+
+
+def test_progress_alone_leaves_metrics_off(tmp_path, capsys):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(SPECS["grid"]))
+    rec = recorder()
+    rec.reset()
+    assert main(["run", str(spec_path), "--quiet", "--no-cache",
+                 "--progress"]) == 0
+    assert capsys.readouterr().err.count("cell ") == 4
+    assert not rec.enabled
+    assert rec.registry.snapshot() == {
+        "counters": [], "gauges": [], "histograms": []
+    }
+    assert rec.sinks == ()

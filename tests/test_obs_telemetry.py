@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.obs.log import WEBHOOK_SCHEMA, JsonLogger, ProgressWebhook
+from repro.obs.log import WEBHOOK_SCHEMA, ProgressWebhook
 from repro.obs.metrics import MetricsWriter, prometheus_text, write_prometheus
 from repro.obs.schema import (
     validate_metrics_file,
@@ -148,11 +148,45 @@ class TestRecorder:
         (span,) = rec.span_snapshot()
         assert span.category == "stage" and span.args == {"kind": "grid"}
 
-    def test_event_routes_through_log_hook(self, rec):
+    def test_event_reaches_subscribed_sinks(self, rec):
         events = []
-        rec.install_log_hook(lambda name, fields: events.append((name, fields)))
-        rec.event("cell-landed", cell=3)
+        sink = lambda name, **fields: events.append((name, fields))  # noqa: E731
+        with rec.subscribed(sink):
+            assert rec.sinks == (sink,)
+            rec.event("cell-landed", cell=3)
+        rec.event("after", cell=4)
         assert events == [("cell-landed", {"cell": 3})]
+        assert rec.sinks == ()
+
+    def test_events_flow_while_metrics_are_off(self):
+        off = Recorder()
+        events = []
+        with off.subscribed(lambda name, **fields: events.append(name)):
+            off.event("progress", message="cell 1/1")
+        assert events == ["progress"]
+        assert not off.enabled and off.registry.counters() == []
+
+    def test_raising_sink_is_counted_and_skipped(self, rec):
+        events = []
+
+        def broken(name, **fields):
+            raise OSError("stderr is gone")
+
+        with rec.subscribed(broken, lambda name, **fields: events.append(name)):
+            rec.event("progress", message="x")
+            rec.event("progress", message="y")
+        assert events == ["progress", "progress"]
+        (counter,) = [
+            c for c in rec.registry.counters() if c.name == "obs_sink_errors_total"
+        ]
+        assert counter.value == 2.0
+
+    def test_reset_keeps_subscribed_sinks(self, rec):
+        events = []
+        with rec.subscribed(lambda name, **fields: events.append(name)):
+            rec.reset()
+            rec.event("kept")
+        assert events == ["kept"]
 
     def test_reset_clears_everything_and_disables(self, rec):
         rec.count("c")
@@ -283,24 +317,23 @@ class TestPrometheus:
 
 
 # --------------------------------------------------------------------------- #
-# Structured log + webhook
+# Event sinks + webhook
 # --------------------------------------------------------------------------- #
 
 
 class TestLogAndWebhook:
-    def test_json_logger_installs_as_event_sink(self, rec, tmp_path):
-        log_path = tmp_path / "events.jsonl"
-        JsonLogger(rec, path=log_path).install()
-        rec.event("campaign-start", n_cells=6)
-        (line,) = log_path.read_text().splitlines()
-        record = json.loads(line)
-        assert record["event"] == "campaign-start"
-        assert record["n_cells"] == 6
-        assert record["elapsed_seconds"] >= 0.0
-
-    def test_json_logger_requires_exactly_one_sink(self, rec, tmp_path):
-        with pytest.raises(ValueError):
-            JsonLogger(rec)
+    def test_webhook_subscribes_as_event_sink(self, rec, tmp_path):
+        target = tmp_path / "events.jsonl"
+        hook = ProgressWebhook(str(target), recorder=rec, stamp={"spec": "g"})
+        with rec.subscribed(hook.emit):
+            rec.event("campaign-start", n_cells=6)
+            rec.event("run-start", spec="own", kind="grid")
+        first, second = [json.loads(l) for l in target.read_text().splitlines()]
+        assert first["event"] == "campaign-start"
+        assert first["n_cells"] == 6 and first["spec"] == "g"
+        assert first["elapsed_seconds"] >= 0.0
+        assert second["spec"] == "own"  # an event's own field wins
+        assert validate_webhook_file(target) == []
 
     def test_webhook_file_mode_appends_valid_events(self, rec, tmp_path):
         target = tmp_path / "progress.jsonl"

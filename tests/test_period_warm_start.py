@@ -21,6 +21,7 @@ from repro.periodic.heuristics import (
     InsertInScheduleThrou,
     application_profiles,
 )
+from repro.obs.telemetry import recorder
 from repro.periodic.period_search import search_period
 from repro.workload.generator import MixSpec, generate_mix
 
@@ -74,6 +75,23 @@ def _placements(schedule) -> list[tuple]:
 
 
 HEURISTICS = [InsertInScheduleThrou, InsertInScheduleCong]
+
+
+@pytest.fixture
+def live_recorder():
+    rec = recorder()
+    rec.reset()
+    rec.enable()
+    yield rec
+    rec.reset()
+
+
+def _bypasses(rec) -> float:
+    return sum(
+        c.value
+        for c in rec.registry.counters()
+        if c.name == "repro_period_warm_start_bypass_total"
+    )
 
 
 class TestWarmStartEquivalence:
@@ -137,7 +155,7 @@ class TestWarmStartEquivalence:
         assert naive.n_builds == len(naive.sweep)
         assert result.sweep == naive.sweep
 
-    def test_small_sweep_falls_back_to_naive(self):
+    def test_small_sweep_falls_back_to_naive(self, live_recorder):
         """Below ``_WARM_START_MIN_POINTS`` the warm start must step aside.
 
         Regression test for the BENCH_grid scale-1 period sweep: at ~20
@@ -168,8 +186,11 @@ class TestWarmStartEquivalence:
             assert _placements(warm.best_schedule) == _placements(
                 naive.best_schedule
             )
+        # One counted bypass per warm_start=True call; warm_start=False
+        # sweeps never reach the adaptive check.
+        assert _bypasses(live_recorder) == len(HEURISTICS)
 
-    def test_fine_sweep_still_warm_starts(self):
+    def test_fine_sweep_still_warm_starts(self, live_recorder):
         """Above the threshold the warm start keeps skipping rebuilds."""
         from repro.periodic.period_search import _WARM_START_MIN_POINTS
 
@@ -181,6 +202,7 @@ class TestWarmStartEquivalence:
         )
         assert len(result.sweep) >= _WARM_START_MIN_POINTS
         assert result.n_builds < len(result.sweep)
+        assert _bypasses(live_recorder) == 0
 
     def test_single_point_sweep(self):
         platform = _platform()

@@ -118,13 +118,15 @@ class TestUnchangedSpec:
         assert cold.store_stats is None
         assert _payload_bytes(warm) == _payload_bytes(cold)
 
-    def test_progress_lines_match_between_cold_and_cached_runs(self, tmp_path):
+    def test_progress_lines_match_between_cold_and_cached_runs(
+        self, tmp_path, status_lines
+    ):
         spec = parse_spec(TINY_GRID)
         store = ResultStore(tmp_path)
-        cold_lines: list[str] = []
-        run_spec(spec, progress=cold_lines.append, store=store)
-        warm_lines: list[str] = []
-        run_spec(spec, progress=warm_lines.append, store=ResultStore(tmp_path))
+        with status_lines() as cold_lines:
+            run_spec(spec, store=store)
+        with status_lines() as warm_lines:
+            run_spec(spec, store=ResultStore(tmp_path))
         assert warm_lines == cold_lines
 
 
