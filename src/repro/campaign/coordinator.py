@@ -49,7 +49,7 @@ from repro.campaign.journal import (
     read_journal,
     replay_journal,
 )
-from repro.campaign.mailbox import MailboxReader, MailboxWriter
+from repro.campaign.mailbox import MailboxReader, MailboxWriter, wait_for_mail
 from repro.campaign.model import (
     CampaignConfig,
     CampaignResult,
@@ -104,6 +104,24 @@ def _mp_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _mailbox_generations(mail: Path, pattern: str = "*.jsonl") -> dict[str, int]:
+    """Highest generation per worker id among ``<id>.g<N>.{in,out}.jsonl``."""
+    latest: dict[str, int] = {}
+    if not mail.is_dir():
+        return latest
+    for path in mail.glob(pattern):
+        stem, _, direction = path.name.removesuffix(".jsonl").rpartition(".")
+        worker_id, sep, generation_text = stem.rpartition(".g")
+        if direction not in ("in", "out") or not sep or not worker_id:
+            continue
+        try:
+            generation = int(generation_text)
+        except ValueError:
+            continue
+        latest[worker_id] = max(generation, latest.get(worker_id, 0))
+    return latest
+
+
 def _as_store(store: Union[ResultStore, str, Path, None]) -> ResultStore:
     if isinstance(store, ResultStore):
         return store
@@ -151,7 +169,9 @@ class CampaignCoordinator:
         self._attempts: dict[int, int] = {}
         self._seq = 0
         self._workers: list[_Worker] = []
-        self._generations: dict[str, int] = {}
+        # A resumed run numbers its mailboxes past every earlier run's, so
+        # no worker replays a predecessor's leases or shutdown.
+        self._generations = _mailbox_generations(campaign_dir / "mail")
         self._respawns = 0
         self._worker_store_handles: dict[str, ResultStore] = {}
         # Counters surfaced in the result.
@@ -254,7 +274,12 @@ class CampaignCoordinator:
                     "worker-respawn", worker=worker_id, generation=generation,
                     message=f"respawning worker {worker_id} (generation {generation})",
                 )
-        inbox = MailboxWriter(inbox_path)
+        # One doorbell pipe per direction (see repro.campaign.mailbox);
+        # Connection ends also reach spawn-context children.
+        inbox_bell_r, inbox_bell_w = self._mp.Pipe(duplex=False)
+        outbox_bell_r, outbox_bell_w = self._mp.Pipe(duplex=False)
+        inbox = MailboxWriter(inbox_path, inbox_bell_w)
+        reader = MailboxReader(outbox_path, outbox_bell_r)
         process = self._mp.Process(
             target=campaign_worker_main,
             args=(
@@ -264,24 +289,33 @@ class CampaignCoordinator:
                 str(inbox_path),
                 str(outbox_path),
                 str(self._worker_store_root(worker_id)),
+                inbox_bell_r,
+                outbox_bell_w,
             ),
             name=f"campaign-{worker_id}",
             daemon=True,
         )
-        process.start()
+        try:
+            process.start()
+        finally:
+            # The child owns these ends now; closing ours lets the outbox
+            # doorbell report end-of-file once the worker is gone.
+            inbox_bell_r.close()
+            outbox_bell_w.close()
         self._workers.append(
             _Worker(
                 worker_id=worker_id,
                 generation=generation,
                 process=process,
                 inbox=inbox,
-                reader=MailboxReader(outbox_path),
+                reader=reader,
                 last_seen=time.monotonic(),
             )
         )
 
     def _kill(self, worker: _Worker) -> None:
         worker.inbox.close()
+        worker.reader.close()
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join(2.0)
@@ -391,9 +425,12 @@ class CampaignCoordinator:
                 )
 
     # ------------------------------------------------------------------ #
-    def _drain(self) -> None:
+    def _drain(self, rung: list[MailboxReader]) -> None:
+        """Act on new mail from the workers whose mailbox is in ``rung``."""
         now = time.monotonic()
         for worker in list(self._workers):
+            if worker.reader not in rung:
+                continue
             records = worker.reader.poll()
             if records:
                 worker.last_seen = now
@@ -591,8 +628,9 @@ class CampaignCoordinator:
         try:
             for i in range(self.config.workers):
                 self._spawn(f"w{i}")
+            rung = [worker.reader for worker in self._workers]
             while True:
-                self._drain()
+                self._drain(rung)
                 if (
                     self.config.halt_after_landed is not None
                     and self.landed_computed >= self.config.halt_after_landed
@@ -606,7 +644,13 @@ class CampaignCoordinator:
                 if not self._workers:
                     self._degrade_no_workers()
                     break
-                time.sleep(self.config.poll_seconds)
+                # Wake on mail or on a worker's exit; poll_seconds only caps
+                # the wait, so expiry, watchdog and backoff keep their clock.
+                rung = wait_for_mail(
+                    [worker.reader for worker in self._workers],
+                    self.config.poll_seconds,
+                    also=[worker.process.sentinel for worker in self._workers],
+                )
         finally:
             self._shutdown_workers()
         if not self.halted:
@@ -815,33 +859,21 @@ def _worker_heartbeats(campaign_dir: Path, *, now: Optional[float] = None) -> li
     Only the latest generation of each worker counts (a respawned worker
     gets a fresh mailbox pair, so earlier generations are dead history).
     Heartbeat *age* is ``now − t`` with ``t`` the wall-clock stamp the
-    worker wrote — the mailbox file's mtime is useless here, because
-    ``done``/``error`` records also touch the file.  Cells/sec divides the
-    snapshot's ``cells_done`` by its ``elapsed_seconds``, both measured by
-    the worker itself, so a status read seconds later cannot skew the rate.
+    worker wrote last (a heartbeat, or the final ``bye``) — the mailbox
+    file's mtime is useless here, because ``done``/``error`` records also
+    touch the file.  Cells/sec divides the snapshot's ``cells_done`` by its
+    ``elapsed_seconds``, both measured by the worker itself, so a status
+    read seconds later cannot skew the rate.
     """
     mail = campaign_dir / "mail"
-    if not mail.is_dir():
-        return []
-    latest: dict[str, tuple[int, Path]] = {}
-    for path in sorted(mail.glob("*.out.jsonl")):
-        stem = path.name[: -len(".out.jsonl")]
-        worker_id, sep, generation_text = stem.rpartition(".g")
-        if not sep or not worker_id:
-            continue
-        try:
-            generation = int(generation_text)
-        except ValueError:
-            continue
-        if worker_id not in latest or generation > latest[worker_id][0]:
-            latest[worker_id] = (generation, path)
+    latest = _mailbox_generations(mail, "*.out.jsonl")
     if now is None:
         now = time.time()
     rows: list[dict] = []
-    for worker_id, (generation, path) in sorted(latest.items()):
+    for worker_id, generation in sorted(latest.items()):
         last_beat: Optional[float] = None
         metrics: dict = {}
-        for record in MailboxReader(path).poll():
+        for record in MailboxReader(mail / f"{worker_id}.g{generation}.out.jsonl").poll():
             t = record.get("t")
             if isinstance(t, (int, float)) and not isinstance(t, bool):
                 last_beat = float(t)

@@ -56,7 +56,10 @@ class CampaignConfig:
     heartbeat_seconds:
         Worker heartbeat period; must be well under ``lease_seconds``.
     poll_seconds:
-        Coordinator/worker mailbox polling period.
+        The longest any coordinator or worker wait lasts.  Both sides
+        wake as soon as mail arrives (the mailbox doorbells), so this is
+        not a per-cell cost; it is how often lease expiry, the cell
+        watchdog and backoff are re-checked when no mail comes.
     retry_budget:
         Attempts a cell gets before quarantine (1 = no retries).
     backoff_base_seconds / backoff_factor / backoff_max_seconds /

@@ -16,11 +16,17 @@ liveness clock fresh.  Each heartbeat carries a wall-clock timestamp
 (``t``) plus a small metrics snapshot (cells done/failed, elapsed
 seconds), so ``repro campaign status`` can report per-worker heartbeat
 *age* and cells/sec from the mailbox files alone — no process needed.
-Heartbeats are transient signalling, never part of any payload, so the
-snapshot rides along unconditionally.  Any failure mode past that is the
-coordinator's problem by design: crash → process death or lease expiry;
-hang → cell timeout (heartbeats keep flowing); ``kill -9`` → lease
-expiry.
+The closing ``bye`` record carries the same final stamp and snapshot, so a
+worker that finishes between beats (or before its first) still reports
+every cell it ran.  Heartbeats are transient signalling, never part of any
+payload, so the snapshot rides along unconditionally.  Any failure mode
+past that is the coordinator's problem by design: crash → process death or
+lease expiry; hang → cell timeout (heartbeats keep flowing); ``kill -9`` →
+lease expiry.
+
+Between leases the worker blocks on its inbox doorbell
+(:func:`~repro.campaign.mailbox.wait_for_mail`), so a lease starts as soon
+as the coordinator mails it; ``poll_seconds`` only bounds that wait.
 
 Chaos hook
 ----------
@@ -41,10 +47,11 @@ import json
 import os
 import threading
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.campaign.mailbox import MailboxReader, MailboxWriter
+from repro.campaign.mailbox import MailboxReader, MailboxWriter, wait_for_mail
 from repro.campaign.model import CampaignConfig
 from repro.campaign.plan import plan_campaign
 from repro.config.spec import ExperimentSpec
@@ -102,9 +109,15 @@ def campaign_worker_main(
     inbox_path: Union[str, Path],
     outbox_path: Union[str, Path],
     store_root: Union[str, Path],
+    inbox_doorbell: Connection,
+    outbox_doorbell: Connection,
 ) -> None:
-    """Entry point of one worker process (the coordinator's spawn target)."""
-    outbox = MailboxWriter(outbox_path)
+    """Entry point of one worker process (the coordinator's spawn target).
+
+    The doorbells are this worker's ends of the two mailbox doorbell pipes:
+    the reading end for the inbox, the writing end for the outbox.
+    """
+    outbox = MailboxWriter(outbox_path, outbox_doorbell)
     stop = threading.Event()
     mute = threading.Event()
     started_wall = time.time()
@@ -113,23 +126,25 @@ def campaign_worker_main(
     # fine for a liveness signal.
     stats = {"cells_done": 0, "cells_failed": 0}
 
+    def _stamped(rtype: str) -> dict:
+        """A record carrying the wall-clock stamp and the metrics snapshot."""
+        now = time.time()
+        return {
+            "type": rtype,
+            "t": now,
+            "metrics": {
+                "cells_done": stats["cells_done"],
+                "cells_failed": stats["cells_failed"],
+                "elapsed_seconds": now - started_wall,
+            },
+        }
+
     def _beat() -> None:
         while not stop.wait(config.heartbeat_seconds):
             if mute.is_set():
                 continue
-            now = time.time()
             try:
-                outbox.send(
-                    {
-                        "type": "heartbeat",
-                        "t": now,
-                        "metrics": {
-                            "cells_done": stats["cells_done"],
-                            "cells_failed": stats["cells_failed"],
-                            "elapsed_seconds": now - started_wall,
-                        },
-                    }
-                )
+                outbox.send(_stamped("heartbeat"))
             except (OSError, ValueError):
                 return
 
@@ -140,16 +155,16 @@ def campaign_worker_main(
         plan = plan_campaign(spec)
         store = ResultStore(store_root)
         outbox.send({"type": "ready", "n_cells": len(plan.cells)})
-        inbox = MailboxReader(inbox_path)
+        inbox = MailboxReader(inbox_path, inbox_doorbell)
         while True:
             records = inbox.poll()
             if not records:
-                time.sleep(config.poll_seconds)
+                wait_for_mail([inbox], config.poll_seconds)
                 continue
             for record in records:
                 rtype = record.get("type")
                 if rtype == "shutdown":
-                    outbox.send({"type": "bye"})
+                    outbox.send(_stamped("bye"))
                     return
                 if rtype != "lease":
                     continue
@@ -157,7 +172,9 @@ def campaign_worker_main(
                 attempt = int(record["attempt"])
                 seq = int(record["seq"])
                 ack = {"cell": cell_index, "attempt": attempt, "seq": seq}
-                outbox.send({"type": "start", **ack})
+                # No ring: "start" only anchors the cell watchdog, and the
+                # next heartbeat or ack delivers it soon enough for that.
+                outbox.send({"type": "start", **ack}, ring=False)
                 try:
                     _apply_chaos(chaos, cell_index, attempt, mute)
                     cell = plan.cells[cell_index]

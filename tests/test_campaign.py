@@ -1,15 +1,20 @@
 """Unit tests for the campaign building blocks (:mod:`repro.campaign`).
 
 Covers the deterministic pieces in isolation — config validation, the
-seeded backoff schedule, journal append/replay semantics, mailbox framing,
-and campaign planning/identity — without spawning any worker process.
-The process-level fault injection lives in ``tests/test_campaign_chaos.py``.
+seeded backoff schedule, journal append/replay semantics, mailbox framing
+and doorbells, and campaign planning/identity — plus three process-level
+properties of the coordinator: wake-ups are event-driven, the ``spawn``
+start method works, and a resumed coordinator never reuses an earlier
+run's mailboxes.  The process-level fault injection lives in
+``tests/test_campaign_chaos.py``.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import os
+import time
 import tomllib
 from dataclasses import replace
 
@@ -21,14 +26,19 @@ from repro.campaign import (
     backoff_seconds,
     campaign_id_for,
     campaign_status,
+    coordinator,
     plan_campaign,
     read_journal,
     replay_journal,
+    resume_campaign,
+    run_campaign,
 )
 from repro.campaign.journal import LANDED, LEASED, PENDING, QUARANTINED
-from repro.campaign.mailbox import MailboxReader, MailboxWriter
-from repro.config import load_spec, parse_spec
+from repro.campaign.mailbox import MailboxReader, MailboxWriter, wait_for_mail
+from repro.campaign.worker import CHAOS_ENV
+from repro.config import load_spec, parse_spec, run_spec
 from repro.experiments.runner import grid_cell_keys
+from repro.store import ResultStore
 from repro.utils.validation import ValidationError
 
 TINY_GRID = """
@@ -332,6 +342,63 @@ class TestMailbox:
             writer.send({"type": "heartbeat"})
 
 
+class TestDoorbell:
+    @pytest.fixture
+    def pair(self, tmp_path):
+        bell_r, bell_w = mp.Pipe(duplex=False)
+        writer = MailboxWriter(tmp_path / "mail.jsonl", bell_w)
+        reader = MailboxReader(tmp_path / "mail.jsonl", bell_r)
+        yield writer, reader
+        writer.close()
+        reader.close()
+
+    def test_send_rings_and_poll_silences(self, pair):
+        writer, reader = pair
+        assert wait_for_mail([reader], 0.0) == [reader]  # timed out: poll all
+        assert not reader.doorbell.poll(0)
+        writer.send({"type": "done"})
+        writer.send({"type": "done"})
+        assert reader.doorbell.poll(0)
+        assert [r["type"] for r in reader.poll()] == ["done", "done"]
+        assert not reader.doorbell.poll(0)  # both rings drained by the poll
+
+    def test_unrung_send_waits_for_the_next_ring(self, pair):
+        writer, reader = pair
+        writer.send({"type": "start"}, ring=False)
+        assert not reader.doorbell.poll(0)
+        writer.send({"type": "done"})
+        assert [r["type"] for r in reader.poll()] == ["start", "done"]
+
+    def test_wait_returns_only_rung_readers(self, tmp_path, pair):
+        writer, reader = pair
+        quiet_r, quiet_w = mp.Pipe(duplex=False)
+        quiet = MailboxReader(tmp_path / "quiet.jsonl", quiet_r)
+        writer.send({"type": "done"})
+        started = time.monotonic()
+        assert wait_for_mail([quiet, reader], 5.0) == [reader]
+        assert time.monotonic() - started < 1.0
+        quiet.close()
+        quiet_w.close()
+
+    def test_a_full_doorbell_never_blocks_the_writer(self, pair):
+        # Rings are dropped once the pipe is full; unread rings remain, so
+        # the reader still wakes, and every record is still delivered.
+        writer, reader = pair
+        for i in range(100_000):
+            writer.send({"i": i})
+        assert reader.doorbell.poll(0)
+        assert len(reader.poll()) == 100_000
+
+    def test_closed_writer_end_drops_the_doorbell(self, pair):
+        writer, reader = pair
+        writer.send({"type": "bye"})
+        writer.close()
+        assert [r["type"] for r in reader.poll()] == ["bye"]
+        assert reader.doorbell is None
+        # With no doorbell left, a wait simply times out.
+        assert wait_for_mail([reader], 0.01) == [reader]
+
+
 # ---------------------------------------------------------------------- #
 # Planning and identity
 # ---------------------------------------------------------------------- #
@@ -384,3 +451,81 @@ class TestStatusErrors:
         assert status["corrupt_journal_lines"] == 1
         assert status["n_cells"] is None
         assert status["cells"] == []
+
+
+# ---------------------------------------------------------------------- #
+# Coordinator processes: wake-ups, start methods, resume mailboxes
+# ---------------------------------------------------------------------- #
+N_CELLS = 4  # 2 scenarios x 2 schedulers
+
+
+def _canonical(store: ResultStore, key: str) -> str:
+    payload = store.get(key)
+    assert payload is not None, f"cell {key} missing from {store.root}"
+    return json.dumps(payload, sort_keys=True, allow_nan=True)
+
+
+class TestCoordinatorProcesses:
+    def test_wake_ups_are_event_driven(self, tiny_spec, tmp_path):
+        # A sleep-polling coordinator needs at least one poll period per
+        # cell and worker; the doorbells let the campaign run at compute
+        # speed, whatever the poll period.
+        config = CampaignConfig(workers=2, poll_seconds=1.0)
+        started = time.monotonic()
+        result = run_campaign(
+            tiny_spec, tmp_path / "camp", store=ResultStore(tmp_path / "store"),
+            config=config,
+        )
+        elapsed = time.monotonic() - started
+        assert result.ok and result.landed_computed == N_CELLS
+        assert elapsed < 0.5 * (N_CELLS / config.workers) * config.poll_seconds
+
+    def test_spawn_start_method_lands_serial_payloads(
+        self, tiny_spec, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(coordinator, "_mp_context", lambda: mp.get_context("spawn"))
+        store = ResultStore(tmp_path / "store")
+        result = run_campaign(
+            tiny_spec, tmp_path / "camp", store=store,
+            config=CampaignConfig(workers=2, poll_seconds=0.02),
+        )
+        assert result.ok and result.landed_computed == N_CELLS
+        assert result.worker_deaths == 0
+        serial = ResultStore(tmp_path / "serial")
+        run_spec(tiny_spec, store=serial)
+        for cell in plan_campaign(tiny_spec).cells:
+            assert _canonical(store, cell.key) == _canonical(serial, cell.key)
+
+    def test_resume_writes_fresh_mailboxes(self, tiny_spec, tmp_path, monkeypatch):
+        # A degraded campaign (cell 1 always fails), then a resume that
+        # retries the quarantined cell.  The resumed workers must start on
+        # new mailbox files: replaying the first run's leases and shutdown
+        # would kill them and could land a stale ack on a new lease.
+        chaos = tmp_path / "chaos.json"
+        chaos.write_text(json.dumps({"1": {"fail": "always"}}))
+        monkeypatch.setenv(CHAOS_ENV, str(chaos))
+        config = CampaignConfig(
+            workers=2, retry_budget=2, poll_seconds=0.02, heartbeat_seconds=0.05,
+            backoff_base_seconds=0.05, backoff_max_seconds=0.2,
+        )
+        store = ResultStore(tmp_path / "store")
+        camp = tmp_path / "camp"
+        first = run_campaign(
+            tiny_spec, camp, store=store, config=config,
+            spec_data=tomllib.loads(TINY_GRID),
+        )
+        assert first.degraded
+        mail_before = {p.name: p.read_bytes() for p in (camp / "mail").iterdir()}
+        monkeypatch.delenv(CHAOS_ENV)
+        result = resume_campaign(camp, store=ResultStore(tmp_path / "store"),
+                                 retry_quarantined=True)
+        assert result.ok and result.landed == N_CELLS
+        assert result.worker_deaths == 0
+        for name, data in mail_before.items():
+            assert (camp / "mail" / name).read_bytes() == data, name
+        assert set(p.name for p in (camp / "mail").iterdir()) > set(mail_before)
+        status = campaign_status(camp)
+        landed = [c for c in status["cells"] if c["state"] == LANDED]
+        assert len(landed) == N_CELLS
+        check = ResultStore(tmp_path / "store")
+        assert all(check.get(c["key"]) is not None for c in landed)
