@@ -57,7 +57,13 @@ from repro.online.registry import make_scheduler
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.interface import SchedulerProtocol
 from repro.simulator.metrics import FaultStats, SimulationResult
-from repro.store import ResultStore, canonical_json, code_fingerprint, digest
+from repro.store import (
+    ResultStore,
+    canonical_json,
+    code_fingerprint,
+    digest,
+    digest_grid,
+)
 from repro.utils.validation import ValidationError
 
 __all__ = [
@@ -804,13 +810,14 @@ def grid_cell_keys(
     :mod:`repro.campaign` — which is what makes stores written by campaign
     workers on other hosts serve a local serial rerun with 100% hits.
     """
+    # Cell (i, j) is digest(prefix, scenario text i, case text j); each
+    # scenario text is encoded and hashed once, not once per case.
     prefix = digest("grid-cell", code_fingerprint(), max_time)
-    scenario_texts = [canonical_json(s) for s in scenarios]
-    case_texts = [canonical_json(c) for c in cases]
-    return [
-        [digest(prefix, s_text, c_text) for c_text in case_texts]
-        for s_text in scenario_texts
-    ]
+    return digest_grid(
+        prefix,
+        [canonical_json(s) for s in scenarios],
+        [canonical_json(c) for c in cases],
+    )
 
 
 class _GridCellCache(MapCache):

@@ -283,7 +283,7 @@ class StoreKeyContractRule(ProjectRule):
             return
         problems.append(
             f"`{name}` is a plain class (neither dataclass nor enum); "
-            "store/canonical.canonicalize raises on it"
+            "store/canonical.canonical_json raises on it"
         )
 
     # ------------------------------------------------------------------ #

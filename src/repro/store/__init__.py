@@ -6,8 +6,10 @@ form of the objects describing it, the source code of the modules that
 compute it, and its derived seed.  This package turns that observation into
 a durable memo table:
 
-* :mod:`repro.store.canonical` — deterministic canonical JSON + SHA-256
-  digests of arbitrary model objects (dataclasses, numpy scalars, …);
+* :mod:`repro.store.canonical` — :func:`canonical_json`, the one-pass
+  deterministic JSON encoder of model objects (dataclasses, numpy
+  scalars, …), and the SHA-256 key format: :func:`digest` and
+  :func:`digest_grid` (a digest per row × column, each row hashed once);
 * :mod:`repro.store.fingerprint` — a fingerprint of the producing source
   tree, folded into every key so editing the simulator invalidates the
   cache;
@@ -24,8 +26,8 @@ See ``docs/artifacts.md`` for the key contract and on-disk layout.
 from repro.store.canonical import (
     CanonicalizationError,
     canonical_json,
-    canonicalize,
     digest,
+    digest_grid,
 )
 from repro.store.fingerprint import (
     PRODUCING_PACKAGES,
@@ -43,9 +45,9 @@ from repro.store.store import (
 
 __all__ = [
     "CanonicalizationError",
-    "canonicalize",
     "canonical_json",
     "digest",
+    "digest_grid",
     "PRODUCING_PACKAGES",
     "code_fingerprint",
     "clear_fingerprint_cache",

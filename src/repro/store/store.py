@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ __all__ = [
 STORE_FORMAT = "v1"
 
 _KEY_HEX_LEN = 64  # sha256
+_KEY_RE = re.compile(f"[0-9a-f]{{{_KEY_HEX_LEN}}}")
 
 
 def default_store_path() -> Path:
@@ -179,13 +181,11 @@ class ResultStore:
         return self.root / STORE_FORMAT
 
     def _entry_path(self, key: str) -> Path:
-        if len(key) != _KEY_HEX_LEN or not all(
-            c in "0123456789abcdef" for c in key
-        ):
+        if _KEY_RE.fullmatch(key) is None:
             raise ValidationError(
                 f"malformed store key {key!r} (expected {_KEY_HEX_LEN} hex chars)"
             )
-        return self._objects / key[:2] / f"{key}.json"
+        return self.root / f"{STORE_FORMAT}/{key[:2]}/{key}.json"
 
     def _discard(self, path: Path) -> None:
         try:

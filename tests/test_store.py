@@ -9,6 +9,8 @@ entries, corruption tolerance, eviction).  The end-to-end cache semantics —
 
 from __future__ import annotations
 
+import enum
+import hashlib
 import json
 import math
 import os
@@ -16,9 +18,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.config import build_grid_scenarios, parse_spec
 from repro.core.application import Application
 from repro.core.platform import intrepid
 from repro.core.scenario import Scenario
+from repro.experiments import runner
+from repro.experiments.runner import SchedulerCase
 from repro.store import (
     CanonicalizationError,
     ResultStore,
@@ -28,6 +33,7 @@ from repro.store import (
     digest,
 )
 from repro.utils.validation import ValidationError
+from repro.workload.generator import figure6_mix
 
 
 def _scenario(label: str = "s") -> Scenario:
@@ -66,7 +72,9 @@ class TestCanonical:
 
     def test_non_finite_floats_are_stable(self):
         text = canonical_json({"nan": float("nan"), "inf": float("inf")})
-        assert text == canonical_json(json.loads(text)) or "NaN" in text
+        assert text == '{"inf":Infinity,"nan":NaN}'
+        assert canonical_json(json.loads(text)) == text
+        assert canonical_json([float("-inf"), -0.0]) == "[-Infinity,-0.0]"
 
     def test_unstable_values_fail_loudly(self):
         with pytest.raises(CanonicalizationError):
@@ -82,6 +90,123 @@ class TestCanonical:
         """A raw string part and a value with the same text must differ."""
         assert digest("3") != digest(3)
         assert digest("Infinity") != digest(float("inf"))
+
+
+# ---------------------------------------------------------------------- #
+# Golden keys: the canonical bytes every existing store is addressed by
+# ---------------------------------------------------------------------- #
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+_GOLDEN_GRID = {
+    "experiment": {"name": "golden", "kind": "grid", "seed": 11,
+                   "max_time": 2000.0},
+    "platform": {"preset": "generic", "processors": 40,
+                 "node_bandwidth": 1.0e6, "system_bandwidth": 8.0e6},
+    "scenarios": [{
+        "kind": "apps",
+        "label": "duo",
+        "apps": [
+            {"name": "a0", "processors": 16, "work": 40.0,
+             "io_volume": 2.0e8, "instances": 3},
+            {"name": "a1", "processors": 16, "work": 60.0,
+             "io_volume": 1.0e8, "instances": 3},
+        ],
+    }],
+    "faults": {
+        "seed": 5,
+        "windows": [{"start": 100.0, "end": 300.0, "factor": 0.25}],
+        "crashes": [{"app": "a1", "time": 150.0, "checkpoint_io": 1.0e8}],
+        "random_windows": {"rate": 2e-3, "duration": 50.0, "factor": 0.5},
+        "random_crashes": {"rate": 2e-3, "checkpoint_io": 1.0e8},
+    },
+    "schedulers": {"names": ["FairShare", "MaxSysEff"]},
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _golden_cases() -> list[SchedulerCase]:
+    return [
+        SchedulerCase("MaxSysEff"),
+        SchedulerCase("FairShare", label="fair"),
+        SchedulerCase("MinDilation", use_burst_buffer=True,
+                      burst_buffer_platform=intrepid(with_burst_buffer=True)),
+    ]
+
+
+class TestGoldenKeys:
+    """SHA-256 pins of canonical texts and keys.
+
+    No producing package covers the key encoder itself, so an encoder
+    change that rewrote a canonical text would silently leave every
+    existing store cold.  These values must never change; a failure here
+    means existing stores would miss, not that the pins need updating.
+    """
+
+    def test_figure6_mix(self):
+        mix = figure6_mix("50small5large-35", intrepid(), 1)
+        assert _sha(canonical_json(mix)) == (
+            "1a2e6392a5ac4d1858b341384816d317aeb08f96d23a28c8b59684d3f0d6ef8a"
+        )
+
+    def test_faulted_grid_scenario(self):
+        spec = parse_spec(_GOLDEN_GRID)
+        scenarios = build_grid_scenarios(spec.body, spec.seed,
+                                         max_time=spec.max_time)
+        faulted = scenarios[-1]
+        assert faulted.faults is not None and faulted.faults.windows
+        assert _sha(canonical_json(faulted)) == (
+            "f3d576bfe810385217123a9995343f9cae342ec7b79264d77d5b4a625394105a"
+        )
+
+    def test_scheduler_cases(self):
+        assert _sha(canonical_json(_golden_cases())) == (
+            "0835d332fb8db0fda69b652f6c88376ec377cb972dd8e923a3d8b0922f3c346d"
+        )
+
+    def test_edge_values(self):
+        value = {
+            "nan": float("nan"),
+            "inf": float("inf"),
+            "-inf": float("-inf"),
+            "neg_zero": -0.0,
+            "big": 1e16,
+            "tiny": 5e-324,
+            "enum": _Colour.RED,
+            "int_enum": _Level.HIGH,
+            "np_float": np.float64(0.1),
+            "np_int": np.int64(-7),
+            "np_0d": np.array(2.5),
+            "np_2d": np.arange(6, dtype=np.float64).reshape(2, 3),
+            "set": {3, "b", 1.5},
+        }
+        assert _sha(canonical_json(value)) == (
+            "9b3c154f40e9abfb9580830be70cbb9d6917fcdd0a5cd4df5dd17886d9fd2028"
+        )
+
+    def test_grid_cell_key_matrix(self, monkeypatch):
+        monkeypatch.setattr(runner, "code_fingerprint", lambda: "f" * 64)
+        spec = parse_spec(_GOLDEN_GRID)
+        scenarios = build_grid_scenarios(spec.body, spec.seed,
+                                         max_time=spec.max_time)
+        scenarios.append(figure6_mix("50small5large-35", intrepid(), 1))
+        keys = runner.grid_cell_keys(scenarios, _golden_cases(),
+                                     max_time=spec.max_time)
+        assert [len(row) for row in keys] == [3, 3, 3]
+        assert keys[0][0] == (
+            "fb9f32ffcf238533057900b2d13ea18218dce7397ba29222821484c73f4cbb48"
+        )
+        assert _sha("\n".join(k for row in keys for k in row)) == (
+            "0fa86205008b3c54f3c4ff7b43ba2249bbf0e800686a58605bd9b6d79727fde8"
+        )
 
 
 # ---------------------------------------------------------------------- #
