@@ -5,17 +5,22 @@ find the first instant in the period where ``vol_io`` can be executed
 contiguously with a constant bandwidth while matching the various
 constraints".  :class:`GreedyInserter` implements that first-fit search:
 
-1. candidate start times are the existing schedule breakpoints (plus 0) —
-   between two breakpoints the bandwidth profile is constant, so if a
-   placement is feasible anywhere inside a gap it is feasible at the gap's
-   left edge;
+1. candidate start times are the existing schedule breakpoints (0 is
+   always one) — between two breakpoints the bandwidth profile is
+   constant, so if a placement is feasible anywhere inside a gap it is
+   feasible at the gap's left edge;
 2. for a candidate compute start ``t``, the compute chunk occupies
    ``[t, t + w)`` and must not overlap the application's other instances;
+   a candidate that fails this is rejected before any bandwidth is fitted
+   (the footprint only extends past the compute chunk, so it would collide
+   too);
 3. the I/O transfer starts at ``t + w`` with the largest constant bandwidth
    the profile allows: starting from ``gamma = min(b, avail / beta)`` the
    inserter repeatedly shrinks ``gamma`` to the minimum availability over
    the transfer window (whose length grows as ``vol / (beta * gamma)``)
-   until it reaches a fixed point — a handful of iterations in practice;
+   until it reaches a fixed point — usually at once, and always within one
+   step per distinct availability level of the profile, since ``gamma``
+   strictly decreases through those levels;
 4. the placement is accepted if the whole footprint fits inside the period
    and does not collide with the application's other instances.
 
@@ -36,7 +41,11 @@ that exact decision could flip:
   longer period (breakpoints at or beyond ``T`` become eligible); those sit
   at ``>= T``, so they cannot help before ``T + w + vol/peak``;
 * rejections that do not involve the period at all (overlap with the
-  application's own instances, bandwidth starvation) never flip.
+  application's own instances, bandwidth starvation) never flip.  A
+  candidate whose compute chunk already overlaps the application's own
+  instances is rejected before its transfer is fitted, so the bounds that
+  fitting would have noted are never recorded; that is sound because the
+  rejection itself cannot flip at any period.
 
 :attr:`period_needed` is the minimum of all recorded bounds: every period
 ``T' < period_needed`` provably replays the identical build, which is what
@@ -49,6 +58,7 @@ never has to reason about sub-epsilon boundary classifications.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Optional
 
 from repro.core.application import Application
@@ -113,8 +123,7 @@ class GreedyInserter:
             (inst.compute_start, inst.end)
             for inst in self.schedule.instances_of(app.name)
         ]
-        candidates = self._candidate_starts(app)
-        for start in candidates:
+        for start in self._candidate_starts():
             placement = self._evaluate_candidate(app, own, start, work, volume)
             if placement is not None:
                 return placement
@@ -129,13 +138,12 @@ class GreedyInserter:
         return None
 
     # ------------------------------------------------------------------ #
-    def _candidate_starts(self, app: Application) -> list[float]:
-        """Sorted candidate compute-start times (0 plus every breakpoint)."""
-        points = set(self.schedule._breakpoints())
-        points.add(0.0)
-        # The end of the application's own instances are natural candidates
-        # (chaining instances back to back), already included via breakpoints.
-        return sorted(p for p in points if p < self.schedule.period - _EPS)
+    def _candidate_starts(self) -> list[float]:
+        """Sorted candidate compute-start times: every breakpoint before the
+        period end (0 is always a breakpoint, and so are the ends of the
+        application's own instances, which chain instances back to back)."""
+        points = self.schedule._points
+        return points[:bisect_left(points, self.schedule.period - _EPS)]
 
     def _evaluate_candidate(
         self,
@@ -153,11 +161,10 @@ class GreedyInserter:
             self._note(compute_end - _EPS)
             if compute_end > period + _EPS:
                 return None
+        if self._overlaps_own(own, start, compute_end):
+            return None
 
         if volume <= _EPS:
-            footprint_end = compute_end
-            if self._overlaps_own(own, start, footprint_end):
-                return None
             return ScheduledInstance(
                 app_name=app.name,
                 compute_start=start,
@@ -205,7 +212,11 @@ class GreedyInserter:
             schedule.available_bandwidth(io_start) / beta,
         )
         min_gamma = platform.node_bandwidth * _MIN_BANDWIDTH_FRACTION
-        for _ in range(64):
+        # Every gamma after the first is min(b, level / beta) for one of the
+        # free-bandwidth levels at io_start or a breakpoint, and each step
+        # strictly lowers it, so the fixed point is reached within
+        # len(breakpoints) + 2 steps.
+        for _ in range(len(schedule._points) + 2):
             if gamma <= min_gamma:
                 return None
             duration = volume / (gamma * beta)
@@ -224,7 +235,7 @@ class GreedyInserter:
             if feasible >= gamma - _EPS:
                 return gamma
             gamma = feasible
-        return gamma if gamma > min_gamma else None
+        return None
 
     @staticmethod
     def _overlaps_own(

@@ -23,18 +23,32 @@ the period for a greedy first-fit heuristic and keeps the feasibility checks
 straightforward (a wrapped schedule can always be "rotated" into an unwrapped
 one with the same efficiencies when capacity is not tight at the boundary).
 
-Caching
--------
-The greedy inserter queries ``breakpoints`` / ``io_load`` /
-``instances_of`` / ``instances_per_application`` thousands of times between
-mutations, so the schedule memoizes all of them and invalidates the caches
-in :meth:`add_instance`.  The cached values are produced by the exact same
-code (same accumulation order for the float sums), so cached and uncached
-queries are bit-for-bit identical.
+Bandwidth profile index
+-----------------------
+The greedy inserter queries the I/O profile hundreds of thousands of times
+per period sweep, so the schedule keeps it indexed, updated in
+:meth:`_append` on every mutation:
+
+* ``io_load(t)`` sums, in insertion order, the rates of the instances with
+  ``io_start - eps <= t < io_end - eps``.  That is a step function whose
+  steps sit exactly at the floats ``io_start - eps`` and ``io_end - eps``, so
+  the schedule stores the sorted steps plus one load per interval and
+  answers a query with one bisect.  A new instance splits at most two
+  intervals (both halves keep the old load, since no older instance
+  changes state inside an interval) and then adds its rate, as the last
+  addend, to every interval it covers — the very float sums a scan over
+  the instances in insertion order produces, bit for bit;
+* the sorted breakpoint list grows by at most four bisected insertions;
+* the per-breakpoint free bandwidth behind ``min_available_bandwidth`` is
+  rebuilt lazily, once per mutation.
+
+``tests/test_periodic_oracle.py`` checks every query against the linear
+scans kept in ``tests/periodic_oracle.py``.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
@@ -141,20 +155,19 @@ class PeriodicSchedule:
         if not self._apps:
             raise ValidationError("a periodic schedule needs at least one application")
         self._instances: list[ScheduledInstance] = []
-        # Incrementally maintained indexes (insertion order preserved in
-        # _instances; per-app lists sorted by compute start; flat transfer
-        # arrays aligned with _instances for the load scans) plus the lazy
-        # caches invalidated by add_instance.
+        # Indexes maintained by _append (see "Bandwidth profile index" in
+        # the module docstring): per-app lists sorted by compute start, the
+        # sorted breakpoints, the load steps with one load per interval
+        # (``_loads[j]`` covers ``[_steps[j], _steps[j + 1])``), and the
+        # free bandwidth at each breakpoint, rebuilt lazily per mutation.
         self._by_app: dict[str, list[ScheduledInstance]] = {
             name: [] for name in self._apps
         }
         self._counts: dict[str, int] = {name: 0 for name in self._apps}
-        self._io_starts: list[float] = []
-        self._io_ends: list[float] = []
-        self._io_rates: list[float] = []
-        self._breakpoints_cache: Optional[list[float]] = None
-        self._io_load_cache: dict[float, float] = {}
-        self._segments_cache: Optional[list[tuple[float, float, float]]] = None
+        self._points: list[float] = [0.0, self.period]
+        self._steps: list[float] = []
+        self._loads: list[float] = []
+        self._point_avail: Optional[list[float]] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -216,18 +229,22 @@ class PeriodicSchedule:
                 f"needs {expected_volume:.6g} B"
             )
         # No overlap with the application's other instances.
-        for other in self.instances_of(instance.app_name):
+        for other in self._by_app[instance.app_name]:
             if instance.compute_start < other.end - _EPS and other.compute_start < instance.end - _EPS:
                 raise ValidationError(
                     f"instance of {instance.app_name!r} at [{instance.compute_start:.6g}, "
                     f"{instance.end:.6g}) overlaps another at "
                     f"[{other.compute_start:.6g}, {other.end:.6g})"
                 )
-        # Back-end capacity over the I/O window.
+        # Back-end capacity over the I/O window.  Segments outside the
+        # window cannot overlap it by more than _EPS, so only the bisected
+        # run of segments that meets it is checked.
         if instance.io_duration > _EPS:
             rate = instance.io_bandwidth * app.processors
-            for start, end, used in self._profile_segments(exclude=None):
-                overlap = min(end, instance.io_end) - max(start, instance.io_start)
+            io_start = instance.io_start
+            io_end = instance.io_end
+            for start, end, used in self._profile_segments(io_start, io_end):
+                overlap = min(end, io_end) - max(start, io_start)
                 if overlap > _EPS and used + rate > self.platform.system_bandwidth * (1 + 1e-9):
                     raise ValidationError(
                         f"adding {instance.app_name!r} would exceed B over "
@@ -243,15 +260,30 @@ class PeriodicSchedule:
         insort(self._by_app[instance.app_name], instance,
                key=attrgetter("compute_start"))
         self._counts[instance.app_name] += 1
-        self._io_starts.append(instance.io_start)
-        self._io_ends.append(instance.io_start + instance.io_duration)
-        self._io_rates.append(
-            instance.io_bandwidth * self._apps[instance.app_name].processors
-        )
-        self._breakpoints_cache = None
-        self._segments_cache = None
-        if self._io_load_cache:
-            self._io_load_cache = {}
+        points = self._points
+        lowest, highest = -_EPS, self.period + _EPS
+        for point in (instance.io_start, instance.io_end,
+                      instance.compute_start, instance.compute_end):
+            i = bisect_left(points, point)
+            if (i == len(points) or points[i] != point) and lowest <= point <= highest:
+                points.insert(i, point)
+        # The transfer is active on [rise, fall): split the intervals the two
+        # steps fall inside (both halves inherit the old load), then add the
+        # rate to every interval between them as the newest addend.
+        rise = instance.io_start - _EPS
+        fall = instance.io_end - _EPS
+        if rise < fall:
+            steps = self._steps
+            loads = self._loads
+            for step in (rise, fall):
+                i = bisect_left(steps, step)
+                if i == len(steps) or steps[i] != step:
+                    steps.insert(i, step)
+                    loads.insert(i, loads[i - 1] if i else 0.0)
+            rate = instance.io_bandwidth * self._apps[instance.app_name].processors
+            for i in range(bisect_left(steps, rise), bisect_left(steps, fall)):
+                loads[i] += rate
+        self._point_avail = None
 
     def with_period(self, period: float) -> "PeriodicSchedule":
         """Copy of this schedule with the same placements under a new period.
@@ -269,12 +301,7 @@ class PeriodicSchedule:
                     f"instance of {inst.app_name!r} ends at {inst.end:.6g}, "
                     f"beyond the new period {period:.6g}"
                 )
-        clone._instances = list(self._instances)
-        clone._by_app = {name: list(insts) for name, insts in self._by_app.items()}
-        clone._counts = dict(self._counts)
-        clone._io_starts = list(self._io_starts)
-        clone._io_ends = list(self._io_ends)
-        clone._io_rates = list(self._io_rates)
+            clone._append(inst)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -282,35 +309,12 @@ class PeriodicSchedule:
     # ------------------------------------------------------------------ #
     def breakpoints(self) -> list[float]:
         """Sorted distinct time points where the I/O load may change."""
-        return list(self._breakpoints())
-
-    def _breakpoints(self) -> list[float]:
-        """Cached breakpoint list — internal callers must not mutate it."""
-        cached = self._breakpoints_cache
-        if cached is None:
-            points = {0.0, self.period}
-            for inst in self._instances:
-                points.add(inst.io_start)
-                points.add(inst.io_end)
-                points.add(inst.compute_start)
-                points.add(inst.compute_end)
-            cached = sorted(p for p in points if -_EPS <= p <= self.period + _EPS)
-            self._breakpoints_cache = cached
-        return cached
+        return list(self._points)
 
     def io_load(self, time: float) -> float:
         """Aggregate back-end bandwidth in use at ``time`` (bytes/s)."""
-        cached = self._io_load_cache.get(time)
-        if cached is not None:
-            return cached
-        # Flat-array scan in insertion order: same comparisons and the same
-        # float-addition order as summing over the instances directly.
-        load = 0.0
-        for start, end, rate in zip(self._io_starts, self._io_ends, self._io_rates):
-            if start - _EPS <= time < end - _EPS:
-                load += rate
-        self._io_load_cache[time] = load
-        return load
+        i = bisect_right(self._steps, time)
+        return self._loads[i - 1] if i else 0.0
 
     def available_bandwidth(self, time: float) -> float:
         """Back-end bandwidth still free at ``time``."""
@@ -320,68 +324,46 @@ class PeriodicSchedule:
         """Minimum free back-end bandwidth over ``[start, end)``."""
         if end <= start:
             return self.platform.system_bandwidth
-        # Breakpoints are sorted, so the interior points ``start < p < end``
-        # are one bisected slice of the cached list.
-        points = self._breakpoints()
+        points = self._points
+        avail = self._point_avail
+        if avail is None:
+            # available_bandwidth(p) for every breakpoint, inlined.
+            capacity = self.platform.system_bandwidth
+            steps, loads = self._steps, self._loads
+            avail = []
+            for point in points:
+                i = bisect_right(steps, point)
+                avail.append(max(0.0, capacity - (loads[i - 1] if i else 0.0)))
+            self._point_avail = avail
+        # The breakpoints inside the window, ``start < p < end``, are one
+        # bisected slice of the sorted list.
         lo = bisect_right(points, start)
         hi = bisect_left(points, end, lo)
         minimum = self.available_bandwidth(start)
-        for i in range(lo, hi):
-            value = self.available_bandwidth(points[i])
-            if value < minimum:
-                minimum = value
+        if lo < hi:
+            inner = min(avail[lo:hi])
+            if inner < minimum:
+                return inner
         return minimum
 
-    def _profile_segments(self, exclude: Optional[ScheduledInstance]):
-        """Yield ``(start, end, load)`` segments of the current I/O profile."""
-        if exclude is None:
-            # Every caller in the repository passes exclude=None, so the full
-            # profile is cached between mutations and computed by a sweep
-            # over the transfer arrays instead of an all-instances scan per
-            # segment.  Segment mids are sorted, so the instances covering a
-            # segment are exactly those whose [io_start - eps, io_end - eps)
-            # window contains its mid — located with two bisects; summing
-            # instance contributions in insertion order per segment keeps
-            # the float accumulation identical to the direct scan.
-            cached = self._segments_cache
-            if cached is None:
-                points = self._breakpoints()
-                bounds = [
-                    (s, e)
-                    for s, e in zip(points[:-1], points[1:])
-                    if e - s > _EPS
-                ]
-                mids = [0.5 * (s + e) for s, e in bounds]
-                loads = [0.0] * len(mids)
-                starts = self._io_starts
-                ends = self._io_ends
-                rates = self._io_rates
-                for i in range(len(starts)):
-                    lo = bisect_left(mids, starts[i] - _EPS)
-                    hi = bisect_left(mids, ends[i] - _EPS)
-                    rate = rates[i]
-                    for j in range(lo, hi):
-                        loads[j] += rate
-                cached = [
-                    (s, e, load) for (s, e), load in zip(bounds, loads)
-                ]
-                self._segments_cache = cached
-            return iter(cached)
-        return self._compute_segments(exclude)
+    def _profile_segments(
+        self, start: float = -math.inf, end: float = math.inf
+    ) -> list[tuple[float, float, float]]:
+        """``(start, end, load)`` segments of the I/O profile that meet ``[start, end]``.
 
-    def _compute_segments(self, exclude: Optional[ScheduledInstance]):
-        points = self.breakpoints()
-        for start, end in zip(points[:-1], points[1:]):
-            if end - start <= _EPS:
-                continue
-            mid = 0.5 * (start + end)
-            load = 0.0
-            for inst in self._instances:
-                if inst is exclude:
-                    continue
-                if inst.io_start - _EPS <= mid < inst.io_end - _EPS:
-                    load += inst.io_bandwidth * self._apps[inst.app_name].processors
-            yield start, end, load
+        Segments are the gaps longer than ``_EPS`` between consecutive
+        breakpoints; each carries the load at its midpoint.  The default
+        window returns the whole profile.
+        """
+        points = self._points
+        lo = max(bisect_right(points, start) - 1, 0)
+        hi = min(bisect_left(points, end), len(points) - 1)
+        segments = []
+        for i in range(lo, hi):
+            left, right = points[i], points[i + 1]
+            if right - left > _EPS:
+                segments.append((left, right, self.io_load(0.5 * (left + right))))
+        return segments
 
     # ------------------------------------------------------------------ #
     # Validation and scoring
@@ -401,7 +383,7 @@ class PeriodicSchedule:
             for first, second in zip(insts[:-1], insts[1:]):
                 if second.compute_start < first.end - _EPS:
                     raise ValidationError(f"{name!r}: overlapping instances")
-        for start, end, load in self._profile_segments(exclude=None):
+        for start, end, load in self._profile_segments():
             if load > self.platform.system_bandwidth * (1 + 1e-9):
                 raise ValidationError(
                     f"back-end capacity exceeded over [{start:.6g}, {end:.6g}): "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.application import Application
@@ -11,6 +13,7 @@ from repro.periodic.insertion import GreedyInserter
 from repro.periodic.period_search import minimum_period, search_period
 from repro.periodic.schedule import PeriodicSchedule, ScheduledInstance
 from repro.utils.validation import ValidationError
+from repro.workload.generator import MixSpec, generate_mix
 
 PLATFORM = Platform("p", 100, 1e6, 2e7)
 
@@ -147,6 +150,34 @@ class TestGreedyInserter:
         inserter = GreedyInserter(schedule)
         assert inserter.find_placement(app(work=500.0)) is None
 
+    def test_bandwidth_fixed_point_crosses_a_long_staircase(self):
+        """Regression: the fixed point used to stop after 64 refinements and
+        return a bandwidth it never checked over its own (longer) window, so
+        add_instance then rejected the placement mid-build.
+
+        80 blocker transfers start one after another; each refinement of the
+        probe's bandwidth stretches its window across exactly one more of
+        them, so the true fixed point is B - 80 r, reached after 81 steps.
+        """
+        capacity, rate, volume, period, io_start = 1.0e9, 1.0e6, 1.0e9, 100.0, 1.0
+        platform = Platform("stair", 81, capacity, capacity)
+        steps = [io_start + volume / (capacity - k * rate) - 1e-4 for k in range(80)]
+        blockers = [
+            Application.periodic(f"blk{k:02d}", 1, t, rate * (period - t), 1)
+            for k, t in enumerate(steps)
+        ]
+        probe = Application.periodic("probe", 1, io_start, volume, 1)
+        schedule = PeriodicSchedule(platform, blockers + [probe], period)
+        for blocker, t in zip(blockers, steps):
+            schedule.add_instance(
+                ScheduledInstance(blocker.name, 0.0, t, t, period - t, rate)
+            )
+        assert GreedyInserter(schedule).try_insert(probe)
+        schedule.validate()
+        placed = schedule.instances_of("probe")[0]
+        assert placed.io_start == io_start
+        assert placed.io_bandwidth == capacity - 80 * rate
+
 
 class TestHeuristics:
     def apps(self):
@@ -252,3 +283,80 @@ class TestPeriodSearch:
         best = result.best_point
         if first.complete:
             assert best.system_efficiency >= first.system_efficiency - 1e-9
+
+
+def _golden_platform() -> Platform:
+    return Platform("golden", 400, 1.0e6, 4.0e7)
+
+
+def _golden_spec_apps() -> list[Application]:
+    """The examples/specs/periodic.toml application set."""
+    shapes = [
+        ("checkpointer", 120, 180.0, 2.4e9, 6),
+        ("analytics", 80, 90.0, 1.6e9, 8),
+        ("solver", 150, 420.0, 3.0e9, 4),
+        ("post-proc", 50, 60.0, 8.0e8, 10),
+    ]
+    return [Application.periodic(*shape) for shape in shapes]
+
+
+def _golden_mix_apps(seed: int) -> list[Application]:
+    scenario = generate_mix(MixSpec(n_small=5, n_large=2), _golden_platform(),
+                            0.25, seed, label=f"golden-{seed}")
+    return list(scenario.applications)
+
+
+def _sweep_text(result) -> str:
+    """Every float of a sweep, its best period and best placements, exactly."""
+    lines = [f"best {result.best_period.hex()}"]
+    for point in result.sweep:
+        lines.append(
+            f"pt {point.period.hex()} {point.system_efficiency.hex()} "
+            f"{point.dilation.hex()} {int(point.complete)}"
+        )
+    for inst in result.best_schedule.instances:
+        lines.append(
+            f"in {inst.app_name} {inst.compute_start.hex()} {inst.work.hex()} "
+            f"{inst.io_start.hex()} {inst.io_duration.hex()} {inst.io_bandwidth.hex()}"
+        )
+    return "\n".join(lines)
+
+
+class TestGoldenSweeps:
+    """SHA-256 pins of period sweeps: traces, best periods, best placements.
+
+    Each heuristic runs under its own objective at eps = 0.05 over a 6x
+    range (38 points, so the warm start is on).  The profile index, the
+    early own-overlap rejection and the fixed-point loop must leave every
+    float of these sweeps unchanged; a failure here means a schedule moved,
+    not that the pins need updating.
+    """
+
+    CASES = {
+        ("throughput", "spec"): "c4772459c29e1ab5f8f79d3f8f2e7a66b96bccc0a044c03d24798b26e98eb066",
+        ("throughput", "mix3"): "d2b68c669459b6dd95274b0c138d64e74f0786762269c6abdae2f39f929b1203",
+        ("throughput", "mix11"): "f7f4296a75eeb1c8b873509474796cb1d9377f0a4f6dcf8cd1aeb7c95a0c931f",
+        ("congestion", "spec"): "85eb0ca3ac41fa3021976b6e79757a8b37835c25f0d9171e2cb05c2eeacb3c30",
+        ("congestion", "mix3"): "6b764febff86a5cd409d09f5ac707c5d2fcfab3457b9adfd13343902229903c6",
+        ("congestion", "mix11"): "dcc1b92dd25b26cb607b573194ee1ec715bd12553876ddb073dce107b7a1e042",
+    }
+    HEURISTICS = {
+        "throughput": (InsertInScheduleThrou, "system_efficiency"),
+        "congestion": (InsertInScheduleCong, "dilation"),
+    }
+    APPS = {
+        "spec": _golden_spec_apps,
+        "mix3": lambda: _golden_mix_apps(3),
+        "mix11": lambda: _golden_mix_apps(11),
+    }
+
+    @pytest.mark.parametrize("heuristic,apps", sorted(CASES))
+    def test_sweep(self, heuristic, apps):
+        heuristic_cls, objective = self.HEURISTICS[heuristic]
+        result = search_period(
+            heuristic_cls(), _golden_platform(), self.APPS[apps](),
+            objective=objective, epsilon=0.05, max_period_factor=6.0,
+        )
+        assert len(result.sweep) == 38
+        digest = hashlib.sha256(_sweep_text(result).encode()).hexdigest()
+        assert digest == self.CASES[heuristic, apps]
