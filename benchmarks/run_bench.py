@@ -10,10 +10,10 @@ any pytest machinery and writes both machine-readable payloads:
     PYTHONPATH=src python benchmarks/run_bench.py --scale 4 --out perf/BENCH_engine.json
 
 Exit status is non-zero when any ``identical`` flag goes false — the
-engine disagreeing with the reference timeline, a pooled spec run
-disagreeing with the serial one, or a warm-started period sweep disagreeing
-with the naive sweep.  All are correctness regressions, not just slow runs,
-so a CI job fails loudly on the thing that matters most.
+engine disagreeing with the reference timeline, or a pooled spec run or
+sharded campaign disagreeing with the serial one.  All are correctness
+regressions, not just slow runs, so a CI job fails loudly on the thing
+that matters most.
 """
 
 from __future__ import annotations

@@ -883,10 +883,16 @@ def _parse_periodic_body(root: Section) -> PeriodicSpec:
                 f"{section.path('apps')}[{i}].name duplicates {app.name!r}; "
                 "periodic schedules need distinct application names"
             )
+    epsilon = section.get_float("epsilon", 0.1, positive=True)
+    if 1.0 + epsilon == 1.0:
+        raise SpecError(
+            f"{section.path('epsilon')} = {epsilon!r} is too small: "
+            "1 + epsilon rounds to 1, so the period sweep would never advance"
+        )
     spec = PeriodicSpec(
         heuristics=heuristics,
         online=online,
-        epsilon=section.get_float("epsilon", 0.1, positive=True),
+        epsilon=epsilon,
         max_period=section.get_float("max_period", positive=True),
         max_period_factor=section.get_float(
             "max_period_factor", 10.0, minimum=1.0

@@ -15,14 +15,13 @@ run); this module tracks the *experiment* hot path — what a whole
   the speedup, and an ``identical`` flag asserting the pooled payload is
   byte-for-byte the serial one (same contract as
   ``tests/test_experiment_executor.py``; a false flag fails the benchmark).
-* **period-sweep throughput** — the ``(1 + eps)`` period search of
-  Section 3.2 is run over the periodic spec's application set with the
-  warm start on and off, recording sweep-points/sec for both and an
-  ``identical`` flag comparing the two traces point for point.
+* **campaign throughput** — the bundled checkpoint-storm grid is run
+  serially and as a sharded campaign (:mod:`repro.campaign`), with an
+  ``identical`` flag comparing every merged cell payload to the serial one.
 
-``--scale N`` deepens both measurements (more Figure 1 applications, more
-Figure 7 repetitions, a ``1/N`` finer sweep step) without touching the
-bundled spec files.
+``--scale N`` deepens the spec runs (more Figure 1 applications, more
+Figure 7 repetitions, a ``1/N`` finer period-sweep step) without touching
+the bundled spec files.
 """
 
 from __future__ import annotations
@@ -34,18 +33,11 @@ import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from repro.config.build import build_periodic_setup
 from repro.config.loader import load_spec
 from repro.config.run import run_spec
-from repro.config.spec import (
-    PERIODIC_HEURISTIC_TABLE,
-    AnalysisSpec,
-    ExperimentSpec,
-    PeriodicSpec,
-)
+from repro.config.spec import AnalysisSpec, ExperimentSpec, PeriodicSpec
 from repro.experiments.runner import resolve_workers
 from repro.obs.telemetry import recorder as _obs_recorder
-from repro.periodic.period_search import search_period
 from repro.utils.validation import ValidationError, check_positive
 
 __all__ = [
@@ -55,7 +47,6 @@ __all__ = [
     "scaled_spec",
     "measure_spec_run",
     "measure_campaign_run",
-    "measure_period_sweep",
     "run_grid_bench",
     "grid_bench_broken",
 ]
@@ -106,7 +97,7 @@ def scaled_spec(spec: ExperimentSpec, scale: int) -> ExperimentSpec:
     Scaling stays inside the spec dataclasses so the bundled files remain
     the source of truth: ``analysis`` multiplies the Figure 1 application
     count and the Figure 7 repetitions; ``periodic`` divides the sweep step
-    ``epsilon`` (a finer sweep, the regime the warm start targets).  Other
+    ``epsilon`` (a finer sweep, more greedy builds).  Other
     kinds scale by running unchanged — their cost is already proportional
     to the spec contents.
     """
@@ -306,82 +297,15 @@ def measure_campaign_run(
     }
 
 
-def measure_period_sweep(*, scale: int = 1, spec_name: str = "periodic") -> dict:
-    """Warm-started vs naive period sweep over the periodic spec's app set.
-
-    Both sweeps walk the identical period ladder; ``identical`` compares
-    their traces, best periods and placements exactly, and the throughput
-    unit is sweep-points/sec.
-    """
-    spec = load_spec(bench_spec_path(spec_name))
-    body = scaled_spec(spec, scale).body
-    if not isinstance(body, PeriodicSpec):
-        raise ValidationError(
-            f"spec {spec_name!r} is kind {spec.kind!r}, not 'periodic'"
-        )
-    platform, applications = build_periodic_setup(body, spec.seed)
-
-    entries = []
-    for key in body.heuristics:
-        heuristic_cls, objective = PERIODIC_HEURISTIC_TABLE[key]
-        kwargs = dict(
-            objective=objective,
-            epsilon=body.epsilon,
-            max_period=body.max_period,
-            max_period_factor=body.max_period_factor,
-        )
-        start = time.perf_counter()
-        warm = search_period(
-            heuristic_cls(), platform, applications, warm_start=True, **kwargs
-        )
-        warm_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        naive = search_period(
-            heuristic_cls(), platform, applications, warm_start=False, **kwargs
-        )
-        naive_seconds = time.perf_counter() - start
-        identical = (
-            warm.sweep == naive.sweep
-            and warm.best_period == naive.best_period
-            and sorted(
-                dataclasses.astuple(i) for i in warm.best_schedule.instances
-            )
-            == sorted(
-                dataclasses.astuple(i) for i in naive.best_schedule.instances
-            )
-        )
-        n_points = len(warm.sweep)
-        entries.append(
-            {
-                "heuristic": key,
-                "objective": objective,
-                "epsilon": body.epsilon,
-                "n_sweep_points": n_points,
-                "n_builds_warm": warm.n_builds,
-                "naive": {
-                    "seconds": naive_seconds,
-                    "sweep_points_per_sec": n_points / naive_seconds if naive_seconds > 0 else float("inf"),
-                },
-                "warm": {
-                    "seconds": warm_seconds,
-                    "sweep_points_per_sec": n_points / warm_seconds if warm_seconds > 0 else float("inf"),
-                },
-                "speedup": naive_seconds / warm_seconds if warm_seconds > 0 else float("inf"),
-                "identical": identical,
-            }
-        )
-    return {"spec": spec_name, "scale": scale, "sweeps": entries}
-
-
 def run_grid_bench(
     specs: Sequence[str] = DEFAULT_BENCH_SPECS,
     *,
     scale: int = 1,
     workers: int = 0,
 ) -> dict:
-    """Measure every bench spec plus the period sweep; assemble the payload.
+    """Measure every bench spec plus the campaign; assemble the payload.
 
-    The payload is what ``BENCH_grid.json`` serializes.  Any cell or sweep
+    The payload is what ``BENCH_grid.json`` serializes.  Any entry
     whose ``identical`` flag is false marks a determinism regression —
     ``benchmarks/run_bench.py`` turns that into a non-zero exit status.
     Each measurement emits one ``bench`` status event.
@@ -402,18 +326,6 @@ def run_grid_bench(
                         f"speedup {entry['speedup']:.2f}x, "
                         f"identical={entry['identical']})",
             )
-    sweep = measure_period_sweep(scale=scale)
-    if _OBS.sinks:
-        for s in sweep["sweeps"]:
-            _OBS.event(
-                "bench", step="period-sweep", heuristic=s["heuristic"],
-                message=f"period sweep {s['heuristic']:<11} "
-                        f"{s['n_sweep_points']:4d} points, "
-                        f"{s['n_builds_warm']:4d} builds: "
-                        f"naive {s['naive']['sweep_points_per_sec']:7.1f} pts/s, "
-                        f"warm {s['warm']['sweep_points_per_sec']:7.1f} pts/s "
-                        f"(speedup {s['speedup']:.2f}x, identical={s['identical']})",
-            )
     campaign = measure_campaign_run()
     if _OBS.sinks:
         _OBS.event(
@@ -431,7 +343,6 @@ def run_grid_bench(
         "python": _platform.python_version(),
         "machine": _platform.machine(),
         "specs": spec_entries,
-        "period_sweep": sweep,
         "campaign": campaign,
     }
 
@@ -443,11 +354,6 @@ def grid_bench_broken(payload: Mapping) -> list[str]:
         for entry in payload.get("specs", ())
         if not entry.get("identical", True)
     ]
-    broken.extend(
-        f"period-sweep:{entry['heuristic']}"
-        for entry in payload.get("period_sweep", {}).get("sweeps", ())
-        if not entry.get("identical", True)
-    )
     campaign = payload.get("campaign", {})
     if campaign and not campaign.get("identical", True):
         broken.append(f"campaign:{campaign.get('spec', 'unknown')}")

@@ -271,16 +271,16 @@ def run_bench_cli(
     and ``scheduler`` are validated up front, raising ``ValidationError``)
     and the end-to-end grid benchmark
     (:func:`repro.experiments.grid_bench.run_grid_bench` — serial vs pooled
-    spec runs plus the warm-vs-naive period sweep), writing ``out`` and
+    spec runs plus the sharded campaign), writing ``out`` and
     ``grid_out`` respectively.  ``grid_out=None`` skips the grid half;
     ``include_engine=False`` skips the engine half.  The suites' ``bench``
     status events and the written paths are printed to stdout.
 
     Returns the process exit status: 0 on success, 1 when any ``identical``
     flag in either payload is false — a determinism regression (the
-    engine diverged from the reference timeline, a pooled run
-    diverged from serial, or the warm-started sweep diverged from the naive
-    one).  ``error`` receives the mismatch report (defaults to stderr).
+    engine diverged from the reference timeline, or a pooled or sharded
+    run diverged from serial).  ``error`` receives the mismatch report
+    (defaults to stderr).
     """
     import sys
 
@@ -326,8 +326,7 @@ def run_bench_cli(
             if broken:
                 error(
                     f"GRID MISMATCH on: {', '.join(broken)} — a pooled or "
-                    "warm-started run no longer reproduces the serial/naive "
-                    "results"
+                    "sharded run no longer reproduces the serial results"
                 )
                 status = 1
     return status

@@ -101,42 +101,14 @@ class PeriodicHeuristic(abc.ABC):
         profiles: Mapping[str, ApplicationProfile] | None = None,
     ) -> PeriodicSchedule:
         """Fill a period of length ``period`` with application instances."""
-        schedule, _ = self.build_with_validity(
-            platform, applications, period, profiles=profiles
-        )
-        return schedule
-
-    def build_with_validity(
-        self,
-        platform: Platform,
-        applications: Sequence[Application],
-        period: float,
-        *,
-        profiles: Mapping[str, ApplicationProfile] | None = None,
-        track_validity: bool = True,
-    ) -> tuple[PeriodicSchedule, float]:
-        """Build a schedule plus the period up to which it provably persists.
-
-        Returns ``(schedule, valid_until)``: for every period ``T'`` with
-        ``period <= T' < valid_until`` the greedy build produces the *same*
-        placements (see the period-validity analysis in
-        :mod:`repro.periodic.insertion`), so the sweep may reuse this
-        schedule via :meth:`PeriodicSchedule.with_period` instead of
-        rebuilding.  With ``track_validity=False`` the bound bookkeeping is
-        skipped (placements are unchanged) and ``valid_until`` is ``period``
-        itself — i.e. no reuse is claimed.
-        """
         if not applications:
             raise ValidationError("need at least one application")
         if profiles is None:
             profiles = application_profiles(platform, applications)
         schedule = PeriodicSchedule(platform, applications, period)
-        inserter = GreedyInserter(schedule, track_validity=track_validity)
-        self._fill(schedule, inserter, list(applications), profiles)
+        self._fill(schedule, GreedyInserter(schedule), list(applications), profiles)
         schedule.validate()
-        if not track_validity:
-            return schedule, period
-        return schedule, inserter.period_needed
+        return schedule
 
     @abc.abstractmethod
     def _fill(

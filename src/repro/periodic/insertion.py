@@ -23,41 +23,10 @@ constraints".  :class:`GreedyInserter` implements that first-fit search:
    strictly decreases through those levels;
 4. the placement is accepted if the whole footprint fits inside the period
    and does not collide with the application's other instances.
-
-Period-validity tracking
-------------------------
-The ``(1 + eps)`` period sweep re-runs the greedy build at every period
-length, yet most consecutive periods produce the *same* placements: the
-only way a longer period ``T'`` can change a first-fit build is by turning
-one of the build's *failed* decisions into a success (a longer period only
-adds room at the right edge, so every placement that succeeded at ``T``
-succeeds identically at ``T'``).  The inserter therefore records, for every
-failure it encounters, a conservative lower bound on the period at which
-that exact decision could flip:
-
-* a candidate rejected because its compute chunk / transfer / footprint ran
-  past the period end flips no earlier than the instant it actually ended;
-* a whole find that failed could also gain *new* candidate start times at a
-  longer period (breakpoints at or beyond ``T`` become eligible); those sit
-  at ``>= T``, so they cannot help before ``T + w + vol/peak``;
-* rejections that do not involve the period at all (overlap with the
-  application's own instances, bandwidth starvation) never flip.  A
-  candidate whose compute chunk already overlaps the application's own
-  instances is rejected before its transfer is fitted, so the bounds that
-  fitting would have noted are never recorded; that is sound because the
-  rejection itself cannot flip at any period.
-
-:attr:`period_needed` is the minimum of all recorded bounds: every period
-``T' < period_needed`` provably replays the identical build, which is what
-lets :func:`repro.periodic.period_search.search_period` warm-start the
-sweep instead of rebuilding from scratch.  Windows that merely *touch* the
-period end (within ``_EPS``) also record a bound, so the equivalence proof
-never has to reason about sub-epsilon boundary classifications.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Optional
 
@@ -74,28 +43,10 @@ _MIN_BANDWIDTH_FRACTION = 1e-6
 
 
 class GreedyInserter:
-    """First-fit insertion of instances into a :class:`PeriodicSchedule`.
+    """First-fit insertion of instances into a :class:`PeriodicSchedule`."""
 
-    Attributes
-    ----------
-    period_needed:
-        Conservative lower bound on the smallest period at which any
-        decision taken so far would change (``inf`` until a period-limited
-        failure is seen).  See the module docstring.
-    """
-
-    def __init__(self, schedule: PeriodicSchedule, *, track_validity: bool = True):
+    def __init__(self, schedule: PeriodicSchedule):
         self.schedule = schedule
-        self.period_needed: float = math.inf
-        #: Bound tracking is pure bookkeeping — it never changes placements —
-        #: so sweeps too small to ever reuse a build switch it off (see
-        #: :func:`repro.periodic.period_search.search_period`).
-        self._track_validity = track_validity
-
-    def _note(self, bound: float) -> None:
-        """Record that a decision could flip once the period reaches ``bound``."""
-        if self._track_validity and bound < self.period_needed:
-            self.period_needed = bound
 
     # ------------------------------------------------------------------ #
     def try_insert(self, app: Application) -> bool:
@@ -127,14 +78,6 @@ class GreedyInserter:
             placement = self._evaluate_candidate(app, own, start, work, volume)
             if placement is not None:
                 return placement
-        # Overall failure: a longer period exposes new candidate starts (the
-        # breakpoints at or beyond the current period end, which sit at
-        # >= period - _EPS).  None of them can host this instance before
-        # period + work + minimal-transfer-time.
-        period = self.schedule.period
-        peak = self.schedule.platform.peak_application_bandwidth(app.processors)
-        min_io = volume / peak if (volume > _EPS and peak > 0) else 0.0
-        self._note(period + work + min_io - 2.0 * _EPS)
         return None
 
     # ------------------------------------------------------------------ #
@@ -157,10 +100,8 @@ class GreedyInserter:
 
         # Compute chunk must fit and not overlap the app's other instances.
         compute_end = start + work
-        if compute_end > period:
-            self._note(compute_end - _EPS)
-            if compute_end > period + _EPS:
-                return None
+        if compute_end > period + _EPS:
+            return None
         if self._overlaps_own(own, start, compute_end):
             return None
 
@@ -179,10 +120,8 @@ class GreedyInserter:
             return None
         duration = volume / (gamma * app.processors)
         footprint_end = compute_end + duration
-        if footprint_end > period:
-            self._note(footprint_end - _EPS)
-            if footprint_end > period + _EPS:
-                return None
+        if footprint_end > period + _EPS:
+            return None
         if self._overlaps_own(own, start, footprint_end):
             return None
         return ScheduledInstance(
@@ -221,13 +160,8 @@ class GreedyInserter:
                 return None
             duration = volume / (gamma * beta)
             io_end = io_start + duration
-            if io_end > period:
-                # Touching the period end makes this window's availability
-                # scan period-sensitive, so record the bound whether or not
-                # the iteration survives the hard cut-off below.
-                self._note(io_end - _EPS)
-                if io_end > period + _EPS:
-                    return None
+            if io_end > period + _EPS:
+                return None
             feasible = min(
                 platform.node_bandwidth,
                 schedule.min_available_bandwidth(io_start, io_end) / beta,

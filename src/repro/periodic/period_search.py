@@ -10,32 +10,22 @@ returns the best schedule together with the full sweep trace, so the
 ablation benchmark can show the quality/price trade-off of ``eps`` and
 ``T_max``.
 
-Warm start
-----------
-Most consecutive sweep points replay the *same* greedy build: a slightly
-longer period only adds empty room at the right edge, and unless that room
-turns one of the build's failed insertion attempts into a success, every
-placement decision is provably unchanged.  The greedy inserter tracks a
-conservative bound on the first period at which any of its decisions could
-flip (see :mod:`repro.periodic.insertion`); ``search_period`` rebuilds only
-when a sweep point crosses that bound and otherwise materializes the point
-by rescoring the cached placements under the new period
-(:meth:`~repro.periodic.schedule.PeriodicSchedule.with_period`).  The sweep
-trace, the best period and the best schedule are bit-for-bit identical to
-the naive sweep (``warm_start=False``; asserted by
-``tests/test_period_warm_start.py``) — the warm start only skips provably
-redundant greedy builds.
+Every sweep point is one greedy build
+(:meth:`~repro.periodic.heuristics.PeriodicHeuristic.build`); the only thing
+shared across points is the period-independent profile table of
+:func:`~repro.periodic.heuristics.application_profiles`.  The step must move
+the period in floating point: an ``epsilon`` so small that ``1 + epsilon``
+rounds to ``1`` would never advance, so it is rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 from repro.core.application import Application
 from repro.core.platform import Platform
-from repro.obs.telemetry import recorder as _obs_recorder
 from repro.periodic.heuristics import PeriodicHeuristic, application_profiles
 from repro.periodic.schedule import PeriodicSchedule
 from repro.utils.validation import ValidationError, check_positive
@@ -59,9 +49,7 @@ class SweepPoint:
 class PeriodSearchResult:
     """Outcome of a period sweep.
 
-    ``n_builds`` counts the greedy builds actually executed;
-    ``len(sweep) - n_builds`` sweep points were warm-started from a cached
-    build whose placements provably persist at the longer period.
+    ``n_builds`` counts the greedy builds executed: one per sweep point.
     """
 
     best_schedule: PeriodicSchedule
@@ -77,16 +65,6 @@ class PeriodSearchResult:
             if point.period == self.best_period:
                 return point
         raise RuntimeError("best period missing from sweep")  # pragma: no cover
-
-
-#: Sweeps with fewer estimated points than this run naive (no warm-start
-#: reuse, no validity bookkeeping): reuse hits are too rare at that size to
-#: pay for the tracking.  Pinned by tests/test_period_warm_start.py.
-_WARM_START_MIN_POINTS = 32
-
-#: Process-wide telemetry funnel: counts the warm-start bypass (a no-op
-#: unless a CLI/benchmark enabled the recorder).
-_OBS = _obs_recorder()
 
 
 def minimum_period(platform: Platform, applications: Sequence[Application]) -> float:
@@ -111,7 +89,6 @@ def search_period(
     epsilon: float = 0.1,
     max_period: float | None = None,
     max_period_factor: float = 10.0,
-    warm_start: bool = True,
 ) -> PeriodSearchResult:
     """Sweep the period length and keep the best schedule for ``objective``.
 
@@ -125,21 +102,18 @@ def search_period(
         application are heavily penalized (a missing application means
         infinite dilation and zero progress).
     epsilon:
-        Multiplicative step of the sweep (``T <- T * (1 + epsilon)``).
+        Multiplicative step of the sweep (``T <- T * (1 + epsilon)``); it
+        must be large enough that ``1 + epsilon != 1`` in floating point.
     max_period, max_period_factor:
         The sweep stops at ``max_period``; when not given, it defaults to
         ``max_period_factor`` times the minimum period.
-    warm_start:
-        Reuse the previous greedy build for sweep points at which it
-        provably cannot change (the default; see the module docstring).
-        ``False`` rebuilds at every point — same results, used by the
-        equivalence tests and as the benchmark baseline.  The warm start is
-        adaptive: sweeps shorter than ``_WARM_START_MIN_POINTS`` fall back
-        to naive rebuilds (with validity bookkeeping switched off), because
-        at that size the tracking overhead outweighs the occasional reuse —
-        results are bit-identical either way.
     """
     check_positive("epsilon", epsilon)
+    if 1.0 + epsilon == 1.0:
+        raise ValidationError(
+            f"epsilon ({epsilon!r}) is too small: 1 + epsilon rounds to 1, "
+            "so the period sweep would never advance"
+        )
     t_min = minimum_period(platform, applications)
     t_max = max_period if max_period is not None else t_min * max_period_factor
     if t_max < t_min:
@@ -148,49 +122,17 @@ def search_period(
         )
     if objective not in ("system_efficiency", "dilation"):
         raise ValidationError(f"unknown objective {objective!r}")
-    # Adaptive warm start: estimate the sweep length up front (the ladder is
-    # t_min * (1+eps)^k capped at t_max, so the count is a closed form) and
-    # drop to the naive path when it is too short to amortize the validity
-    # bookkeeping.  Placements never depend on the bookkeeping, so this is a
-    # pure speed decision.
-    track_validity = warm_start
-    if warm_start:
-        if t_max <= t_min:
-            estimated_points = 1
-        else:
-            estimated_points = (
-                math.floor(math.log(t_max / t_min) / math.log(1.0 + epsilon)) + 2
-            )
-        if estimated_points < _WARM_START_MIN_POINTS:
-            warm_start = False
-            track_validity = False
-            _OBS.count("repro_period_warm_start_bypass_total")
-
     profiles = application_profiles(platform, applications)
     best_schedule: PeriodicSchedule | None = None
     best_period = math.nan
     best_score = -math.inf
     sweep: list[SweepPoint] = []
-    cached_build: Optional[PeriodicSchedule] = None
-    cached_valid_until = -math.inf
-    n_builds = 0
 
     period = t_min
     while True:
-        if warm_start and cached_build is not None and period < cached_valid_until:
-            # The previous build provably replays unchanged at this period:
-            # reuse its placements and rescore them under the longer period
-            # (the summary code below is the same either way, so the sweep
-            # point is bit-for-bit what a fresh build would have produced).
-            schedule = cached_build.with_period(period)
-        else:
-            schedule, valid_until = heuristic.build_with_validity(
-                platform, applications, period, profiles=profiles,
-                track_validity=track_validity,
-            )
-            cached_build = schedule
-            cached_valid_until = valid_until
-            n_builds += 1
+        schedule = heuristic.build(
+            platform, applications, period, profiles=profiles
+        )
         summary = schedule.summary()
         complete = schedule.is_complete()
         sweep.append(
@@ -219,7 +161,7 @@ def search_period(
         best_period=best_period,
         objective=objective,
         sweep=tuple(sweep),
-        n_builds=n_builds,
+        n_builds=len(sweep),
     )
 
 

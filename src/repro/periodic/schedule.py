@@ -285,25 +285,6 @@ class PeriodicSchedule:
                 loads[i] += rate
         self._point_avail = None
 
-    def with_period(self, period: float) -> "PeriodicSchedule":
-        """Copy of this schedule with the same placements under a new period.
-
-        The placements are shared, not re-derived — the caller asserts they
-        remain feasible (any ``period`` no smaller than the latest instance
-        end works, since a longer period only adds empty room at the end).
-        The warm-started period sweep uses this to materialize a sweep point
-        whose greedy build provably matches an earlier one.
-        """
-        clone = PeriodicSchedule(self.platform, self.applications, period)
-        for inst in self._instances:
-            if inst.end > period + _EPS:
-                raise ValidationError(
-                    f"instance of {inst.app_name!r} ends at {inst.end:.6g}, "
-                    f"beyond the new period {period:.6g}"
-                )
-            clone._append(inst)
-        return clone
-
     # ------------------------------------------------------------------ #
     # Bandwidth profile
     # ------------------------------------------------------------------ #

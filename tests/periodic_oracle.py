@@ -20,7 +20,6 @@ do not optimize it.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.core.application import Application
@@ -93,11 +92,6 @@ class OracleInserter:
 
     def __init__(self, schedule: PeriodicSchedule):
         self.schedule = schedule
-        self.period_needed = math.inf
-
-    def _note(self, bound: float) -> None:
-        if bound < self.period_needed:
-            self.period_needed = bound
 
     def try_insert(self, app: Application) -> bool:
         placement = self.find_placement(app)
@@ -117,19 +111,13 @@ class OracleInserter:
             placement = self._evaluate_candidate(app, own, start, work, volume)
             if placement is not None:
                 return placement
-        period = self.schedule.period
-        peak = self.schedule.platform.peak_application_bandwidth(app.processors)
-        min_io = volume / peak if (volume > _EPS and peak > 0) else 0.0
-        self._note(period + work + min_io - 2.0 * _EPS)
         return None
 
     def _evaluate_candidate(self, app, own, start, work, volume):
         period = self.schedule.period
         compute_end = start + work
-        if compute_end > period:
-            self._note(compute_end - _EPS)
-            if compute_end > period + _EPS:
-                return None
+        if compute_end > period + _EPS:
+            return None
         if volume <= _EPS:
             if _overlaps_own(own, start, compute_end):
                 return None
@@ -142,10 +130,8 @@ class OracleInserter:
             return None
         duration = volume / (gamma * app.processors)
         footprint_end = compute_end + duration
-        if footprint_end > period:
-            self._note(footprint_end - _EPS)
-            if footprint_end > period + _EPS:
-                return None
+        if footprint_end > period + _EPS:
+            return None
         if _overlaps_own(own, start, footprint_end):
             return None
         return ScheduledInstance(
@@ -168,10 +154,8 @@ class OracleInserter:
                 return None
             duration = volume / (gamma * beta)
             io_end = io_start + duration
-            if io_end > period:
-                self._note(io_end - _EPS)
-                if io_end > period + _EPS:
-                    return None
+            if io_end > period + _EPS:
+                return None
             feasible = min(
                 platform.node_bandwidth,
                 min_available_bandwidth(schedule, io_start, io_end) / beta,

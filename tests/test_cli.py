@@ -146,6 +146,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "experiment.kind" in err and "nope" in err
 
+    def test_tiny_periodic_epsilon_exits_2(self, tmp_path, capsys):
+        """An epsilon with ``1 + epsilon == 1`` fails validate and run
+        cleanly instead of crashing (or hanging) the period sweep."""
+        spec = (REPO_ROOT / "examples" / "specs" / "periodic.toml").read_text()
+        assert "epsilon = 0.1\n" in spec
+        bad = tmp_path / "tiny_epsilon.toml"
+        bad.write_text(spec.replace("epsilon = 0.1\n", "epsilon = 1e-20\n"))
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "periodic.epsilon" in err and "1e-20" in err
+            assert "Traceback" not in err
+
     def test_removed_engine_key_and_flag_exit_2(self, tiny_spec, tmp_path, capsys):
         old = tmp_path / "old.toml"
         old.write_text(TINY_GRID.replace(

@@ -383,6 +383,22 @@ class TestErrors:
         data["periodic"]["online"] = ["MaxSysEfficiency"]
         self.expect(data, "periodic.online[0]", "MaxSysEff")
 
+    def test_periodic_epsilon_below_float_resolution_rejected(self):
+        """``1 + 1e-20 == 1``: the period sweep could never advance."""
+        data = periodic_spec_data()
+        data["periodic"]["epsilon"] = 1e-20
+        self.expect(data, "periodic.epsilon", "1 + epsilon rounds to 1")
+
+    def test_periodic_smallest_advancing_epsilon_accepted(self):
+        """Machine epsilon is the smallest step with ``1 + epsilon != 1``,
+        so the float-resolution check must let it through unchanged."""
+        import sys
+
+        data = periodic_spec_data()
+        data["periodic"]["epsilon"] = sys.float_info.epsilon
+        spec = parse_spec(data)
+        assert spec.body.epsilon == sys.float_info.epsilon
+
     def test_periodic_rejects_nonzero_release(self):
         data = periodic_spec_data()
         data["periodic"]["apps"][1]["release"] = 5.0

@@ -13,7 +13,6 @@ from repro.experiments.grid_bench import (
     DEFAULT_CAMPAIGN_SPEC,
     bench_spec_path,
     grid_bench_broken,
-    measure_period_sweep,
     run_grid_bench,
     scaled_spec,
 )
@@ -82,13 +81,7 @@ class TestGridBenchPayload:
                 assert {"build", "run", "report"} <= set(stages)
                 assert all(v >= 0 for v in stages.values())
                 assert stages["run"] <= entry[mode]["seconds"]
-        sweeps = payload["period_sweep"]["sweeps"]
-        assert {s["heuristic"] for s in sweeps} == {"throughput", "congestion"}
-        for s in sweeps:
-            assert s["identical"] is True
-            assert 0 < s["n_builds_warm"] <= s["n_sweep_points"]
-            assert s["naive"]["sweep_points_per_sec"] > 0
-            assert s["warm"]["sweep_points_per_sec"] > 0
+        assert "period_sweep" not in payload
         campaign = payload["campaign"]
         assert campaign["spec"] == DEFAULT_CAMPAIGN_SPEC
         assert campaign["identical"] is True
@@ -101,16 +94,10 @@ class TestGridBenchPayload:
 
     def test_broken_detection(self):
         payload = {
-            "specs": [{"spec": "a", "identical": False}],
-            "period_sweep": {
-                "sweeps": [{"heuristic": "throughput", "identical": False}]
-            },
+            "specs": [
+                {"spec": "a", "identical": False},
+                {"spec": "b", "identical": True},
+            ],
             "campaign": {"spec": "c", "identical": False},
         }
-        assert grid_bench_broken(payload) == [
-            "a", "period-sweep:throughput", "campaign:c",
-        ]
-
-    def test_sweep_bench_rejects_non_periodic_spec(self):
-        with pytest.raises(ValidationError, match="periodic"):
-            measure_period_sweep(spec_name="analysis_figures")
+        assert grid_bench_broken(payload) == ["a", "campaign:c"]

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
 from repro.core.application import Application
 from repro.core.platform import Platform
-from repro.periodic.heuristics import InsertInScheduleCong, InsertInScheduleThrou
+from repro.periodic.heuristics import (
+    InsertInScheduleCong,
+    InsertInScheduleThrou,
+    application_profiles,
+)
 from repro.periodic.insertion import GreedyInserter
 from repro.periodic.period_search import minimum_period, search_period
 from repro.periodic.schedule import PeriodicSchedule, ScheduledInstance
@@ -238,6 +243,7 @@ class TestPeriodSearch:
         )
         assert result.best_schedule.is_complete()
         assert len(result.sweep) >= 2
+        assert result.n_builds == len(result.sweep)  # one build per point
         assert result.best_point.period == result.best_period
 
     def test_objective_validation(self):
@@ -249,6 +255,23 @@ class TestPeriodSearch:
     def test_bad_epsilon(self):
         with pytest.raises(ValidationError):
             search_period(InsertInScheduleCong(), PLATFORM, [app()], epsilon=0.0)
+
+    def test_epsilon_below_float_resolution_rejected(self):
+        """``1 + 1e-20 == 1``: the sweep would never advance, so it must
+        fail up front instead of hanging."""
+        with pytest.raises(ValidationError, match="epsilon"):
+            search_period(InsertInScheduleCong(), PLATFORM, [app()], epsilon=1e-20)
+
+    def test_single_point_sweep(self):
+        platform = _golden_platform()
+        apps = _golden_spec_apps()
+        t_min = minimum_period(platform, apps)
+        result = search_period(
+            InsertInScheduleThrou(), platform, apps, max_period=t_min
+        )
+        assert len(result.sweep) == 1
+        assert result.n_builds == 1
+        assert result.best_period == t_min
 
     def test_max_period_smaller_than_min_rejected(self):
         with pytest.raises(ValidationError):
@@ -326,7 +349,7 @@ class TestGoldenSweeps:
     """SHA-256 pins of period sweeps: traces, best periods, best placements.
 
     Each heuristic runs under its own objective at eps = 0.05 over a 6x
-    range (38 points, so the warm start is on).  The profile index, the
+    range (38 points, one greedy build each).  The profile index, the
     early own-overlap rejection and the fixed-point loop must leave every
     float of these sweeps unchanged; a failure here means a schedule moved,
     not that the pins need updating.
@@ -360,3 +383,109 @@ class TestGoldenSweeps:
         assert len(result.sweep) == 38
         digest = hashlib.sha256(_sweep_text(result).encode()).hexdigest()
         assert digest == self.CASES[heuristic, apps]
+
+
+def _placements(schedule) -> list[tuple]:
+    return sorted(
+        (i.app_name, i.compute_start, i.work, i.io_start, i.io_duration,
+         i.io_bandwidth)
+        for i in schedule.instances
+    )
+
+
+class TestSweepMatchesPointwiseBuilds:
+    """``search_period`` == Section 3.2.3 written out point by point.
+
+    The reference steps ``T`` from the minimum period by ``(1 + eps)`` up
+    to ``T_max``, builds a fresh schedule at every period without the
+    shared profile table, and keeps the first best point.  The sweep must
+    match it exactly: periods, scores and completeness per point, the best
+    period, and the best schedule's placements and summary.  Some cases
+    admit no complete schedule at any period, so the ranking of incomplete
+    points is covered too.
+    """
+
+    HEURISTICS = [InsertInScheduleThrou, InsertInScheduleCong]
+
+    def _check(self, heuristic_cls, apps, objective, epsilon, factor):
+        platform = _golden_platform()
+        result = search_period(
+            heuristic_cls(), platform, apps, objective=objective,
+            epsilon=epsilon, max_period_factor=factor,
+        )
+        t_min = minimum_period(platform, apps)
+        t_max = t_min * factor
+        periods = [t_min]
+        while periods[-1] < t_max:
+            periods.append(min(periods[-1] * (1.0 + epsilon), t_max))
+        schedules = [heuristic_cls().build(platform, apps, p) for p in periods]
+
+        assert result.n_builds == len(periods)
+        assert [point.period for point in result.sweep] == periods
+        for point, schedule in zip(result.sweep, schedules):
+            summary = schedule.summary()
+            assert point.system_efficiency == summary.system_efficiency
+            assert point.dilation == summary.dilation
+            assert point.complete == schedule.is_complete()
+
+        def score(schedule) -> float:
+            # Incomplete schedules rank below every complete one; under the
+            # dilation objective they are never better than the first point.
+            summary = schedule.summary()
+            if objective == "system_efficiency":
+                bonus = 0.0 if schedule.is_complete() else -1e12
+                return bonus + summary.system_efficiency
+            if not schedule.is_complete() or not math.isfinite(summary.dilation):
+                return -math.inf
+            return -summary.dilation
+
+        scores = [score(s) for s in schedules]
+        best = scores.index(max(scores))  # the first best point
+        assert result.best_period == periods[best]
+        assert _placements(result.best_schedule) == _placements(schedules[best])
+        assert result.best_schedule.summary() == schedules[best].summary()
+        return result
+
+    @pytest.mark.parametrize("heuristic_cls", HEURISTICS)
+    @pytest.mark.parametrize("objective", ["system_efficiency", "dilation"])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.3])
+    def test_spec_apps(self, heuristic_cls, objective, epsilon):
+        self._check(heuristic_cls, _golden_spec_apps(), objective, epsilon, 6.0)
+
+    @pytest.mark.parametrize("heuristic_cls", HEURISTICS)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_random_mixes(self, heuristic_cls, seed):
+        self._check(heuristic_cls, _golden_mix_apps(seed), "system_efficiency",
+                    0.1, 8.0)
+
+    def test_fine_sweep_builds_every_point(self):
+        """eps = 0.005 over a 6x range: every one of the ~360 points is
+        built, with no point skipped or reused."""
+        result = self._check(InsertInScheduleThrou, _golden_spec_apps(),
+                             "system_efficiency", 0.005, 6.0)
+        assert len(result.sweep) > 300
+
+
+class TestProfiles:
+    def test_profiles_match_direct_computation(self):
+        platform = _golden_platform()
+        apps = _golden_spec_apps()
+        profiles = application_profiles(platform, apps)
+        for application in apps:
+            inst = application.instances[0]
+            peak = platform.peak_application_bandwidth(application.processors)
+            profile = profiles[application.name]
+            assert profile.work == inst.work
+            assert profile.io_volume == inst.io_volume
+            assert profile.time_io == inst.io_volume / peak
+            assert profile.footprint == inst.work + inst.io_volume / peak
+            assert profile.ratio == inst.work / profile.time_io
+
+    def test_zero_io_profile(self):
+        dry = Application.periodic(
+            name="dry", processors=10, work=50.0, io_volume=0.0, n_instances=2
+        )
+        profiles = application_profiles(_golden_platform(), [dry])
+        assert profiles["dry"].time_io == 0.0
+        assert math.isinf(profiles["dry"].ratio)
+        assert profiles["dry"].footprint == 50.0

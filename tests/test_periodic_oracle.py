@@ -144,8 +144,6 @@ class TestProfileQueries:
             assert _instance_key(fast.find_placement(app)) == _instance_key(
                 slow.find_placement(app)
             )
-            # The early own-overlap rejection only ever drops bounds.
-            assert fast.period_needed >= slow.period_needed
 
 
 @st.composite
@@ -168,23 +166,18 @@ def _oracle_build(heuristic, platform, apps, period):
     heuristic._fill(schedule, inserter, list(apps),
                     application_profiles(platform, apps))
     schedule.validate()
-    return schedule, inserter.period_needed
+    return schedule
 
 
 class TestHeuristicBuilds:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(app_sets(), st.sampled_from(HEURISTICS), st.floats(0.0, 0.999))
-    def test_builds_match_the_scans(self, case, heuristic_cls, fraction):
+    @given(app_sets(), st.sampled_from(HEURISTICS))
+    def test_builds_match_the_scans(self, case, heuristic_cls):
         platform, apps, period = case
         heuristic = heuristic_cls()
-        schedule, valid_until = heuristic.build_with_validity(platform, apps, period)
-        expected, oracle_bound = _oracle_build(heuristic, platform, apps, period)
-        placements = [_instance_key(i) for i in schedule.instances]
-        assert placements == [_instance_key(i) for i in expected.instances]
-        assert valid_until >= oracle_bound
-        # Soundness of the (fewer) recorded bounds: any period short of
-        # valid_until replays the identical build.
-        longer = period + fraction * (min(valid_until, 2.0 * period) - period)
-        replay = heuristic.build(platform, apps, longer)
-        assert [_instance_key(i) for i in replay.instances] == placements
+        schedule = heuristic.build(platform, apps, period)
+        expected = _oracle_build(heuristic, platform, apps, period)
+        assert [_instance_key(i) for i in schedule.instances] == [
+            _instance_key(i) for i in expected.instances
+        ]
