@@ -32,6 +32,7 @@ from repro.workload.generator import MixSpec, generate_mix
 __all__ = [
     "ThroughputDecreaseStudy",
     "figure1_batch_count",
+    "figure1_batch_mix",
     "throughput_decrease_study",
 ]
 
@@ -91,6 +92,19 @@ class ThroughputDecreaseStudy:
         )
 
 
+def figure1_batch_mix(applications_per_batch: int) -> MixSpec:
+    """One Figure 1 batch: 80/20 small/large, at least one of each.
+
+    Clamped so the batch holds exactly ``applications_per_batch``
+    applications (rounding used to inflate a 2-app batch to 3).
+    """
+    n_small = min(
+        applications_per_batch - 1,
+        max(1, int(round(applications_per_batch * 0.8))),
+    )
+    return MixSpec(n_small=n_small, n_large=applications_per_batch - n_small)
+
+
 def _run_figure1_batch(shared: tuple, batch: tuple[int, np.random.Generator]) -> list[float]:
     """One Figure 1 batch: build the staggered mix, simulate, measure.
 
@@ -99,11 +113,10 @@ def _run_figure1_batch(shared: tuple, batch: tuple[int, np.random.Generator]) ->
     a spawned generator, so a worker replays exactly the draws the serial
     loop would have made.
     """
-    (platform, n_small, n_large, io_ratio, release_spread, interference,
-     max_time) = shared
+    platform, mix, io_ratio, release_spread, interference, max_time = shared
     index, batch_rng = batch
     scenario = generate_mix(
-        MixSpec(n_small=n_small, n_large=n_large),
+        mix,
         platform,
         io_ratio,
         batch_rng,
@@ -168,17 +181,9 @@ def throughput_decrease_study(
     platform = platform or intrepid()
     n_batches = figure1_batch_count(n_applications, applications_per_batch)
     rngs = spawn_rngs(rng, n_batches)
-    # 80/20 small/large split, clamped so every batch holds exactly
-    # `applications_per_batch` applications with at least one of each
-    # category (rounding used to inflate a 2-app batch to 3).
-    n_small = min(
-        applications_per_batch - 1,
-        max(1, int(round(applications_per_batch * 0.8))),
-    )
-    n_large = applications_per_batch - n_small
     shared = (
-        platform, n_small, n_large, io_ratio, release_spread, interference,
-        max_time,
+        platform, figure1_batch_mix(applications_per_batch), io_ratio,
+        release_spread, interference, max_time,
     )
     batch_results = map_parallel(
         _run_figure1_batch,

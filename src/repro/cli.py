@@ -47,7 +47,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro import __version__
 from repro.config import (
-    EXPERIMENT_KINDS,
+    KINDS,
     SpecError,
     load_spec,
     load_spec_data,
@@ -909,29 +909,10 @@ def _collect_spec_paths(args: argparse.Namespace) -> list[str]:
 
 
 def _validate_one(spec_path: str):
-    from repro.config import (
-        build_cases,
-        build_grid_scenarios,
-        build_periodic_setup,
-        build_platform,
-    )
-    from repro.config.build import check_figure6_setup
-    from repro.config.spec import AnalysisSpec, Figure6Spec, GridSpec, PeriodicSpec
-
     spec = load_spec(spec_path)
-    # Parsing alone misses the deterministic build-time checks (duplicate
-    # labels, burst-buffer platform constraints, periodic application
-    # construction, Figure-6 mixes on a custom platform); run them too, so
-    # exit 0 really means "repro run will accept this spec".
-    if isinstance(spec.body, GridSpec):
-        build_grid_scenarios(spec.body, spec.seed, max_time=spec.max_time)
-        build_cases(spec.body)
-    elif isinstance(spec.body, Figure6Spec):
-        check_figure6_setup(spec.body, spec.seed)
-    elif isinstance(spec.body, PeriodicSpec):
-        build_periodic_setup(spec.body, spec.seed)
-    elif isinstance(spec.body, AnalysisSpec):
-        build_platform(spec.body.platform)
+    # Parsing alone misses the kind's deterministic build-time checks; run
+    # them too, so exit 0 really means "repro run will accept this spec".
+    KINDS[spec.kind].check(spec)
     return spec
 
 
@@ -1097,22 +1078,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 f"instances/job"
             )
     elif args.what == "experiments":
-        descriptions = {
-            "grid": "generic (scenarios x schedulers) grid — fully declarative",
-            "figure6": "random-mix heuristic comparison (Figure 6 panels)",
-            "congested-moments": "Intrepid/Mira congested-moment campaigns "
-                                 "(Tables 1-2, Figures 8-13)",
-            "vesta": "Vesta / modified-IOR emulation (Figures 14-16)",
-            "periodic": "Section 3.2 periodic heuristics + (1+eps) period "
-                        "sweep, compared against the online schedulers",
-            "analysis": "figure-level studies: throughput decrease (Fig 1), "
-                        "workload characterization (Fig 5), sensibility "
-                        "(Fig 7)",
-        }
         print("Experiment kinds accepted by [experiment].kind:")
-        for kind in EXPERIMENT_KINDS:
-            # .get: a newly added kind must not break the discovery command.
-            print(f"  {kind:<18} {descriptions.get(kind, '')}".rstrip())
+        for name, kind in KINDS.items():
+            print(f"  {name:<18} {kind.description}")
     else:
         specs_dir = Path(args.specs_dir)
         if not specs_dir.is_dir() and args.specs_dir == str(DEFAULT_SPECS_DIR):

@@ -3,7 +3,7 @@
 A *spec* is a TOML or JSON file (or a plain dict) that fully determines a
 reproducible experiment: platform, application scenarios with pinned seeds,
 scheduler list, truncation horizon and output destination.  The subsystem
-splits into four small modules:
+splits into six small modules:
 
 * :mod:`repro.config.schema` — typed key extraction with path-aware errors
   (``scenarios[0].io_ratio must be a number``);
@@ -12,7 +12,10 @@ splits into four small modules:
 * :mod:`repro.config.loader` — :func:`~repro.config.loader.load_spec` for
   ``.toml`` / ``.json`` files;
 * :mod:`repro.config.build` / :mod:`repro.config.run` — spec → live model
-  objects → executed results (JSON/CSV dumps included).
+  objects → executed results (JSON/CSV dumps included);
+* :mod:`repro.config.kinds` — :data:`~repro.config.kinds.KINDS`, the one
+  table that maps each experiment kind to its parser, horizon rule,
+  build-time check and runner.
 
 Quickstart::
 
@@ -33,12 +36,12 @@ from repro.config.build import (
     build_periodic_setup,
     build_platform,
 )
+from repro.config.kinds import EXPERIMENT_KINDS, KINDS, Kind
 from repro.config.loader import load_spec, load_spec_data, parse_spec_text
 from repro.config.run import SpecRunResult, run_spec, write_result
 from repro.config.schema import Section, SpecError
 from repro.config.spec import (
     ANALYSIS_FIGURES,
-    EXPERIMENT_KINDS,
     PERIODIC_HEURISTICS,
     SCENARIO_KINDS,
     AnalysisSpec,
@@ -70,6 +73,8 @@ __all__ = [
     "SpecError",
     "Section",
     "EXPERIMENT_KINDS",
+    "KINDS",
+    "Kind",
     "SCENARIO_KINDS",
     "PlatformSpec",
     "BurstBufferTable",

@@ -15,8 +15,12 @@ from typing import Optional
 
 import numpy as np
 
+from repro.analysis.sensitivity import derive_streams
+from repro.analysis.throughput import figure1_batch_count, figure1_batch_mix
 from repro.config.schema import SpecError
 from repro.config.spec import (
+    ANALYSIS_FIGURES,
+    AnalysisSpec,
     AppSpec,
     FaultsSpec,
     Figure6Spec,
@@ -56,6 +60,8 @@ __all__ = [
     "build_cases",
     "build_periodic_setup",
     "check_figure6_setup",
+    "analysis_seed_slots",
+    "check_analysis_setup",
 ]
 
 _PRESETS = {"intrepid": intrepid, "mira": mira, "vesta": vesta}
@@ -383,6 +389,15 @@ def build_periodic_setup(
     return platform, applications
 
 
+def _check_mixes(where: str, build_mix, rngs) -> None:
+    """Build one mix per stream; a mix that cannot exist fails as ``where``."""
+    for rng in rngs:
+        try:
+            build_mix(rng)
+        except ValidationError as exc:
+            raise SpecError(f"{where}: {exc}") from None
+
+
 def check_figure6_setup(body: Figure6Spec, seed: int) -> None:
     """Build every Figure-6 mix a run would, without simulating any.
 
@@ -395,13 +410,49 @@ def check_figure6_setup(body: Figure6Spec, seed: int) -> None:
     platform = build_platform(body.platform)
     for panel in body.panels:
         # The seed derivation of figure6_experiment: one stream per mix.
-        for rng in spawn_rngs(seed, body.n_repetitions):
-            try:
-                figure6_mix(panel, platform, rng)
-            except ValidationError as exc:
-                raise SpecError(
-                    f"figure6.platform: panel {panel!r}: {exc}"
-                ) from None
+        _check_mixes(
+            f"figure6.platform: panel {panel!r}",
+            lambda rng: figure6_mix(panel, platform, rng),
+            spawn_rngs(seed, body.n_repetitions),
+        )
+
+
+def analysis_seed_slots(seed: int) -> dict[str, np.random.Generator]:
+    """The random stream of every ``analysis`` figure study.
+
+    Fixed seed slots: figure N always consumes child stream N of the
+    experiment seed, so deselecting one figure never shifts the others.
+    """
+    return dict(zip(ANALYSIS_FIGURES, spawn_rngs(seed, len(ANALYSIS_FIGURES))))
+
+
+def check_analysis_setup(body: AnalysisSpec, seed: int) -> None:
+    """Build every mix the selected figure studies would, without simulating.
+
+    The Figure 1 batches and the Figure 7 base mixes must fit the
+    ``[analysis.platform]`` machine, the way :func:`check_figure6_setup`
+    checks Figure 6 panels.
+    """
+    platform = build_platform(body.platform)
+    slots = analysis_seed_slots(seed)
+    f1, f7 = body.figure1, body.figure7
+    if "figure1" in body.figures:
+        # The seed derivation of throughput_decrease_study: one stream per batch.
+        mix = figure1_batch_mix(f1.applications_per_batch)
+        n_batches = figure1_batch_count(f1.n_applications, f1.applications_per_batch)
+        _check_mixes(
+            "analysis.figure1.applications_per_batch",
+            lambda rng: generate_mix(mix, platform, f1.io_ratio, rng),
+            spawn_rngs(slots["figure1"], n_batches),
+        )
+    if "figure7" in body.figures:
+        # The seed derivation of sensitivity_study: its base-mix streams.
+        mix_rngs, _ = derive_streams(slots["figure7"], f7.n_repetitions, len(f7.sensibilities))
+        _check_mixes(
+            f"analysis.figure7.scenario: mix {f7.scenario!r}",
+            lambda rng: figure6_mix(f7.scenario, platform, rng),
+            mix_rngs,
+        )
 
 
 def build_cases(grid: GridSpec) -> list[SchedulerCase]:

@@ -1,7 +1,8 @@
 """Execute a parsed experiment spec and package the results.
 
-:func:`run_spec` is the single entry point behind ``repro run``: it
-dispatches on the experiment kind, drives the corresponding harness
+:func:`run_spec` is the single entry point behind ``repro run``: it looks
+the experiment kind up in :data:`repro.config.kinds.KINDS` and calls the
+kind's runner below, which drives the corresponding harness
 (:func:`repro.experiments.runner.run_grid`,
 :func:`repro.experiments.comparison.figure6_experiment`,
 :func:`repro.experiments.comparison.congested_moments_experiment`,
@@ -26,6 +27,7 @@ from repro.analysis.sensitivity import sensitivity_study
 from repro.analysis.throughput import throughput_decrease_study
 from repro.analysis.usage import characterize
 from repro.config.build import (
+    analysis_seed_slots,
     build_cases,
     build_grid_scenarios,
     build_periodic_setup,
@@ -33,7 +35,6 @@ from repro.config.build import (
 )
 from repro.config.schema import SpecError
 from repro.config.spec import (
-    ANALYSIS_FIGURES,
     PERIODIC_HEURISTIC_TABLE,
     AnalysisSpec,
     CongestedMomentsSpec,
@@ -68,7 +69,6 @@ from repro.store import (
     code_fingerprint,
     digest,
 )
-from repro.utils.rng import spawn_rngs
 from repro.workload.darshan import generate_records
 
 __all__ = ["SpecRunResult", "run_spec", "write_result"]
@@ -100,14 +100,9 @@ class SpecRunResult:
         return write_result(self, path=path, format=format)
 
 
-def _spec_echo(spec: ExperimentSpec) -> dict:
-    """The reproducibility header of every payload."""
-    return {
-        "name": spec.name,
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "max_time": spec.max_time,
-    }
+#: What a kind's runner returns: the payload after its ``experiment``
+#: header, the per-cell records and the text tables.
+_RunOutput = tuple[dict, list[dict], str]
 
 
 def _averages_rows(averages: dict[str, dict[str, float]]) -> list[list[object]]:
@@ -129,11 +124,9 @@ _AVERAGES_HEADERS = ["Scheduler", "SysEfficiency (%)", "Dilation", "Upper limit 
 
 # ---------------------------------------------------------------------- #
 def _run_grid_spec(
-    spec: ExperimentSpec,
-    body: GridSpec,
-    executor: Optional[ExperimentExecutor] = None,
-    store: Optional[ResultStore] = None,
-) -> SpecRunResult:
+    spec: ExperimentSpec, body: GridSpec,
+    executor: ExperimentExecutor, store: Optional[ResultStore],
+) -> _RunOutput:
     with _OBS.stage("build", kind=spec.kind):
         scenarios = build_grid_scenarios(body, spec.seed, max_time=spec.max_time)
         cases = build_cases(body)
@@ -149,12 +142,11 @@ def _grid_spec_report(
     body: GridSpec,
     scenarios: list[Scenario],
     grid,
-) -> SpecRunResult:
+) -> _RunOutput:
     """Assemble the grid payload/records/tables (the ``report`` stage)."""
     records = grid_records(grid)
     averages = grid.averages()
     payload = {
-        "experiment": _spec_echo(spec),
         "platform": build_platform(body.platform).name,
         "n_scenarios": len(scenarios),
         "n_cells": len(records),
@@ -199,15 +191,13 @@ def _grid_spec_report(
                 "per scheduler)"
             ),
         )
-    return SpecRunResult(spec=spec, payload=payload, records=records, text=text)
+    return payload, records, text
 
 
 def _run_figure6_spec(
-    spec: ExperimentSpec,
-    body: Figure6Spec,
-    executor: Optional[ExperimentExecutor] = None,
-    store: Optional[ResultStore] = None,
-) -> SpecRunResult:
+    spec: ExperimentSpec, body: Figure6Spec,
+    executor: ExperimentExecutor, store: Optional[ResultStore],
+) -> _RunOutput:
     with _OBS.stage("build", kind=spec.kind):
         platform = (
             build_platform(body.platform) if body.platform is not None else None
@@ -232,55 +222,34 @@ def _run_figure6_spec(
                     "progress", step="panel", panel=panel,
                     message=f"panel {panel}: {i + 1}/{len(body.panels)} done",
                 )
-            _figure6_panel_report(
-                body, panel, result, panels_payload, records, blocks
-            )
+            averages = {
+                scheduler: {
+                    "system_efficiency": avg.system_efficiency,
+                    "dilation": avg.dilation,
+                    "upper_limit": avg.upper_limit,
+                }
+                for scheduler, avg in result.averages.items()
+            }
+            panels_payload[panel] = averages
+            for scheduler, metrics in averages.items():
+                records.append({"panel": panel, "scheduler": scheduler, **metrics})
+            blocks.append(format_table(
+                _AVERAGES_HEADERS,
+                _averages_rows(averages),
+                title=f"Figure 6 — {panel} ({body.n_repetitions} mixes)",
+            ))
     payload = {
-        "experiment": _spec_echo(spec),
         "n_repetitions": body.n_repetitions,
         "panels": panels_payload,
         "cells": records,
     }
-    return SpecRunResult(
-        spec=spec, payload=payload, records=records, text="\n".join(blocks)
-    )
-
-
-def _figure6_panel_report(
-    body: Figure6Spec,
-    panel: str,
-    result,
-    panels_payload: dict[str, dict],
-    records: list[dict],
-    blocks: list[str],
-) -> None:
-    """Fold one Figure-6 panel's averages into the spec-level views."""
-    averages = {
-        scheduler: {
-            "system_efficiency": avg.system_efficiency,
-            "dilation": avg.dilation,
-            "upper_limit": avg.upper_limit,
-        }
-        for scheduler, avg in result.averages.items()
-    }
-    panels_payload[panel] = averages
-    for scheduler, metrics in averages.items():
-        records.append({"panel": panel, "scheduler": scheduler, **metrics})
-    blocks.append(
-        format_table(
-            _AVERAGES_HEADERS,
-            _averages_rows(averages),
-            title=f"Figure 6 — {panel} ({body.n_repetitions} mixes)",
-        )
-    )
+    return payload, records, "\n".join(blocks)
 
 
 def _run_congested_spec(
-    spec: ExperimentSpec,
-    body: CongestedMomentsSpec,
-    executor: Optional[ExperimentExecutor] = None,
-    store: Optional[ResultStore] = None,
-) -> SpecRunResult:
+    spec: ExperimentSpec, body: CongestedMomentsSpec,
+    executor: ExperimentExecutor, store: Optional[ResultStore],
+) -> _RunOutput:
     with _OBS.stage("run", kind=spec.kind):
         result = congested_moments_experiment(
             body.machine,
@@ -296,7 +265,6 @@ def _run_congested_spec(
         records = grid_records(result.grid)
         averages = result.grid.averages()
         payload = {
-            "experiment": _spec_echo(spec),
             "machine": body.machine,
             "n_moments": len(result.grid.scenarios()),
             "baseline": result.baseline_label,
@@ -313,28 +281,13 @@ def _run_congested_spec(
                 f"baseline {result.baseline_label} runs with burst buffers)"
             ),
         )
-        return SpecRunResult(
-            spec=spec, payload=payload, records=records, text=text
-        )
+        return payload, records, text
 
 
 def _run_vesta_spec(
-    spec: ExperimentSpec,
-    body: VestaSpec,
-    executor: Optional[ExperimentExecutor] = None,
-    store: Optional[ResultStore] = None,
-) -> SpecRunResult:
-    if spec.max_time != float("inf"):
-        # Vesta cells are overhead-scored against their full execution
-        # (score_with_overhead rebuilds outcomes from the complete original
-        # parameters), so a truncation horizon would yield misleading
-        # numbers.  Reject it rather than silently ignore it; the cells are
-        # small enough to always run to completion.
-        raise SpecError(
-            "max_time is not supported for 'vesta' experiments: cells are "
-            "overhead-scored on complete runs — remove experiment.max_time "
-            "(or the --max-time override)"
-        )
+    spec: ExperimentSpec, body: VestaSpec,
+    executor: ExperimentExecutor, store: Optional[ResultStore],
+) -> _RunOutput:
     with _OBS.stage("run", kind=spec.kind):
         result = vesta_experiment(
             scenarios=body.scenarios,
@@ -356,7 +309,6 @@ def _run_vesta_spec(
             for case in result.cases
         ]
         payload = {
-            "experiment": _spec_echo(spec),
             "scenarios": list(body.scenarios),
             "configurations": list(body.configurations),
             "cells": records,
@@ -374,37 +326,91 @@ def _run_vesta_spec(
                 "(Figure 15 grid)"
             ),
         )
-        return SpecRunResult(
-            spec=spec, payload=payload, records=records, text=text
-        )
+        return payload, records, text
+
+
+def _memoized_study(store, key, compute, *args) -> tuple[dict, bool]:
+    """One study, served from ``store`` when present: ``(value, cached)``.
+
+    A study (a period sweep, an analysis figure) memoizes as one unit, not
+    as a grid of cells.  ``key()`` derives the store key; it runs only with
+    a store attached, so an uncached run never hashes anything.
+    ``compute(*args)`` returns the JSON-able value a hit replays.
+    """
+    if store is None:
+        return compute(*args), False
+    study_key = key()
+    cached = store.get(study_key)
+    if cached is not None:
+        return cached, True
+    value = compute(*args)
+    store.put(study_key, value)
+    return value, False
+
+
+def _periodic_study(key: str, body: PeriodicSpec, platform, applications) -> dict:
+    """The period sweep of one ``[periodic].heuristics`` entry."""
+    heuristic_cls, objective = PERIODIC_HEURISTIC_TABLE[key]
+    heuristic = heuristic_cls()
+    result = search_period(
+        heuristic,
+        platform,
+        applications,
+        objective=objective,
+        epsilon=body.epsilon,
+        max_period=body.max_period,
+        max_period_factor=body.max_period_factor,
+    )
+    summary = result.best_schedule.summary()
+    counts = result.best_schedule.instances_per_application()
+    fragment = {
+        "heuristic": heuristic.name,
+        "objective": objective,
+        "best_period": result.best_period,
+        "system_efficiency": summary.system_efficiency,
+        "dilation": summary.dilation,
+        "n_instances_per_period": sum(counts.values()),
+        "complete": result.best_schedule.is_complete(),
+        "sweep": [
+            {
+                "period": point.period,
+                "system_efficiency": point.system_efficiency,
+                "dilation": point.dilation,
+                "complete": point.complete,
+            }
+            for point in result.sweep
+        ],
+    }
+    record = {
+        "mode": "periodic",
+        "scheduler": heuristic.name,
+        "objective": objective,
+        "system_efficiency": summary.system_efficiency,
+        "dilation": summary.dilation,
+        "period": result.best_period,
+    }
+    row = [
+        f"{heuristic.name} (periodic)",
+        percent(summary.system_efficiency),
+        ratio(summary.dilation),
+        ratio(result.best_period),
+    ]
+    return {"fragment": fragment, "record": record, "row": row}
 
 
 def _run_periodic_spec(
-    spec: ExperimentSpec,
-    body: PeriodicSpec,
-    executor: Optional[ExperimentExecutor] = None,
-    store: Optional[ResultStore] = None,
-) -> SpecRunResult:
-    if spec.max_time != float("inf"):
-        # Parse-time rejection covers the spec file; this covers a CLI
-        # --max-time override.  A horizon could only truncate the online
-        # half, silently skewing the periodic-vs-online comparison.
-        raise SpecError(
-            "max_time is not supported for 'periodic' experiments: a "
-            "steady-state schedule has no horizon, so truncation would "
-            "only distort the online comparison — remove experiment."
-            "max_time (or the --max-time override)"
-        )
+    spec: ExperimentSpec, body: PeriodicSpec,
+    executor: ExperimentExecutor, store: Optional[ResultStore],
+) -> _RunOutput:
     with _OBS.stage("build", kind=spec.kind):
         platform, applications = build_periodic_setup(body, spec.seed)
     records: list[dict] = []
     rows: list[list[object]] = []
     periodic_payload: dict[str, dict] = {}
     with _OBS.stage("run", kind=spec.kind):
-        # The period sweep is a *study*, not a grid of independent simulations,
-        # so it memoizes as one unit per heuristic: the key digests the built
-        # platform + applications (capturing the seed-derived mix), the sweep
-        # knobs and the producing-code fingerprint.
+        # One study per heuristic: the key digests the built platform +
+        # applications (capturing the seed-derived mix), the sweep knobs
+        # and the producing-code fingerprint.
         study_prefix = None
         if store is not None:
             study_prefix = digest(
@@ -417,69 +423,16 @@ def _run_periodic_spec(
                 body.max_period_factor,
             )
         for key in body.heuristics:
-            heuristic_cls, objective = PERIODIC_HEURISTIC_TABLE[key]
-            cached = None
-            study_key = None
-            if study_prefix is not None:
-                study_key = digest(study_prefix, key, objective)
-                cached = store.get(study_key)
-            if cached is not None:
-                fragment = cached["fragment"]
-                record = cached["record"]
-                row = cached["row"]
-            else:
-                heuristic = heuristic_cls()
-                result = search_period(
-                    heuristic,
-                    platform,
-                    applications,
-                    objective=objective,
-                    epsilon=body.epsilon,
-                    max_period=body.max_period,
-                    max_period_factor=body.max_period_factor,
-                )
-                summary = result.best_schedule.summary()
-                counts = result.best_schedule.instances_per_application()
-                fragment = {
-                    "heuristic": heuristic.name,
-                    "objective": objective,
-                    "best_period": result.best_period,
-                    "system_efficiency": summary.system_efficiency,
-                    "dilation": summary.dilation,
-                    "n_instances_per_period": sum(counts.values()),
-                    "complete": result.best_schedule.is_complete(),
-                    "sweep": [
-                        {
-                            "period": point.period,
-                            "system_efficiency": point.system_efficiency,
-                            "dilation": point.dilation,
-                            "complete": point.complete,
-                        }
-                        for point in result.sweep
-                    ],
-                }
-                record = {
-                    "mode": "periodic",
-                    "scheduler": heuristic.name,
-                    "objective": objective,
-                    "system_efficiency": summary.system_efficiency,
-                    "dilation": summary.dilation,
-                    "period": result.best_period,
-                }
-                row = [
-                    f"{heuristic.name} (periodic)",
-                    percent(summary.system_efficiency),
-                    ratio(summary.dilation),
-                    ratio(result.best_period),
-                ]
-                if study_key is not None:
-                    store.put(
-                        study_key,
-                        {"fragment": fragment, "record": record, "row": row},
-                    )
+            objective = PERIODIC_HEURISTIC_TABLE[key][1]
+            study, _ = _memoized_study(
+                store,
+                lambda: digest(study_prefix, key, objective),
+                _periodic_study, key, body, platform, applications,
+            )
+            fragment = study["fragment"]
             periodic_payload[key] = fragment
-            records.append(record)
-            rows.append(row)
+            records.append(study["record"])
+            rows.append(study["row"])
             if _OBS.sinks:
                 _OBS.event(
                     "progress", step="sweep", heuristic=key,
@@ -496,9 +449,9 @@ def _run_periodic_spec(
                 metadata={"kind": "periodic"},
             )
             cases = [SchedulerCase(name=name) for name in body.online]
-            # No max_time: the guard above pins it to inf, and the online half
-            # must structurally run to completion to stay comparable with the
-            # steady-state schedules.
+            # No max_time: the kind's horizon rule pins it to inf, and the
+            # online half must structurally run to completion to stay
+            # comparable with the steady-state schedules.
             grid = run_grid(
                 [scenario],
                 cases,
@@ -532,7 +485,6 @@ def _run_periodic_spec(
 
     with _OBS.stage("report", kind=spec.kind):
         payload = {
-            "experiment": _spec_echo(spec),
             "platform": platform.name,
             "n_applications": len(applications),
             "applications": [
@@ -556,19 +508,12 @@ def _run_periodic_spec(
                 f"({len(applications)} applications on {platform.name})"
             ),
         )
-        return SpecRunResult(spec=spec, payload=payload, records=records, text=text)
-
-
-_FigureOutcome = tuple[dict, list[dict], str]
+        return payload, records, text
 
 
 def _analysis_figure1(
-    spec: ExperimentSpec,
-    body: AnalysisSpec,
-    platform,
-    rng,
-    executor: Optional[ExperimentExecutor] = None,
-) -> _FigureOutcome:
+    spec: ExperimentSpec, body: AnalysisSpec, platform, rng, executor: ExperimentExecutor
+) -> dict:
     """Figure 1: the throughput-decrease replay."""
     f1 = body.figure1
     study = throughput_decrease_study(
@@ -615,16 +560,12 @@ def _analysis_figure1(
             message=f"figure1: {study.n_applications} applications measured, "
                     f"worst decrease {study.max_decrease:.1f}%",
         )
-    return fragment, records, block
+    return {"fragment": fragment, "records": records, "block": block}
 
 
 def _analysis_figure5(
-    spec: ExperimentSpec,
-    body: AnalysisSpec,
-    platform,
-    rng,
-    executor: Optional[ExperimentExecutor] = None,
-) -> _FigureOutcome:
+    spec: ExperimentSpec, body: AnalysisSpec, platform, rng, executor: ExperimentExecutor
+) -> dict:
     """Figure 5: the synthetic-Darshan workload characterization."""
     f5 = body.figure5
     usage = characterize(
@@ -683,16 +624,12 @@ def _analysis_figure5(
             message=f"figure5: {f5.n_jobs} jobs characterized, dominant "
                     f"category {usage.dominant_category().value}",
         )
-    return fragment, records, block
+    return {"fragment": fragment, "records": records, "block": block}
 
 
 def _analysis_figure7(
-    spec: ExperimentSpec,
-    body: AnalysisSpec,
-    platform,
-    rng,
-    executor: Optional[ExperimentExecutor] = None,
-) -> _FigureOutcome:
+    spec: ExperimentSpec, body: AnalysisSpec, platform, rng, executor: ExperimentExecutor
+) -> dict:
     """Figure 7: the sensibility (periodicity) sweep."""
     f7 = body.figure7
     study = sensitivity_study(
@@ -762,7 +699,7 @@ def _analysis_figure7(
             message=f"figure7: {len(study.points)} sensibility levels x "
                     f"{len(study.schedulers)} heuristics done",
         )
-    return fragment, records, block
+    return {"fragment": fragment, "records": records, "block": block}
 
 
 _ANALYSIS_RUNNERS = {
@@ -773,31 +710,24 @@ _ANALYSIS_RUNNERS = {
 
 
 def _run_analysis_spec(
-    spec: ExperimentSpec,
-    body: AnalysisSpec,
-    executor: Optional[ExperimentExecutor] = None,
-    store: Optional[ResultStore] = None,
-) -> SpecRunResult:
+    spec: ExperimentSpec, body: AnalysisSpec,
+    executor: ExperimentExecutor, store: Optional[ResultStore],
+) -> _RunOutput:
     with _OBS.stage("build", kind=spec.kind):
         platform = build_platform(body.platform)
-        # Fixed seed slots: figure N always consumes child stream N of the
-        # experiment seed, so deselecting one figure never shifts the others.
-        slots = dict(
-            zip(ANALYSIS_FIGURES, spawn_rngs(spec.seed, len(ANALYSIS_FIGURES)))
-        )
+        slots = analysis_seed_slots(spec.seed)
     records: list[dict] = []
     figures_payload: dict[str, dict] = {}
     blocks: list[str] = []
     with _OBS.stage("run", kind=spec.kind):
         for figure in body.figures:
-            # Each figure memoizes as one study.  The key digests the built
-            # platform, the figure's own spec fragment, the experiment seed (the
-            # slot streams derive deterministically from it) and the horizon —
-            # so a second run of an unchanged spec performs zero study work.
-            study_key = None
-            cached = None
-            if store is not None:
-                study_key = digest(
+            # One study per figure: the key digests the built platform, the
+            # figure's own spec fragment, the experiment seed (the slot
+            # streams derive deterministically from it) and the horizon — so
+            # a second run of an unchanged spec performs zero study work.
+            study, cached = _memoized_study(
+                store,
+                lambda: digest(
                     "analysis-study",
                     code_fingerprint(),
                     figure,
@@ -805,44 +735,26 @@ def _run_analysis_spec(
                     canonical_json(getattr(body, figure)),
                     spec.seed,
                     spec.max_time,
+                ),
+                _ANALYSIS_RUNNERS[figure], spec, body, platform, slots[figure],
+                executor,
+            )
+            if cached and _OBS.sinks:
+                _OBS.event(
+                    "progress", step="figure", figure=figure, cached=True,
+                    message=f"{figure}: served from the result store",
                 )
-                cached = store.get(study_key)
-            if cached is not None:
-                fragment = cached["fragment"]
-                figure_records = cached["records"]
-                block = cached["block"]
-                if _OBS.sinks:
-                    _OBS.event(
-                        "progress", step="figure", figure=figure, cached=True,
-                        message=f"{figure}: served from the result store",
-                    )
-            else:
-                fragment, figure_records, block = _ANALYSIS_RUNNERS[figure](
-                    spec, body, platform, slots[figure], executor
-                )
-                if study_key is not None:
-                    store.put(
-                        study_key,
-                        {
-                            "fragment": fragment,
-                            "records": figure_records,
-                            "block": block,
-                        },
-                    )
-            figures_payload[figure] = fragment
-            records.extend(figure_records)
-            blocks.append(block)
+            figures_payload[figure] = study["fragment"]
+            records.extend(study["records"])
+            blocks.append(study["block"])
 
     with _OBS.stage("report", kind=spec.kind):
         payload = {
-            "experiment": _spec_echo(spec),
             "platform": platform.name,
             "figures": figures_payload,
             "cells": records,
         }
-        return SpecRunResult(
-            spec=spec, payload=payload, records=records, text="\n".join(blocks)
-        )
+        return payload, records, "\n".join(blocks)
 
 
 # ---------------------------------------------------------------------- #
@@ -868,8 +780,12 @@ def run_spec(
     ones; the run's hit/miss counters land in
     :attr:`SpecRunResult.store_stats` (never in the payload).
     """
-    body = spec.body
-    result: Optional[SpecRunResult] = None
+    # The kind table imports this module's runners, so it loads lazily.
+    from repro.config.kinds import KINDS
+
+    kind = KINDS[spec.kind]
+    # Re-checked here: a CLI --max-time override lands after parsing.
+    kind.refuse_horizon(spec.body, spec.max_time)
     # Snapshot the handle's counters so store_stats describes *this* run
     # even when one store serves a whole fleet of specs (repro report).
     stats_before = replace(store.stats) if store is not None else None
@@ -878,20 +794,12 @@ def run_spec(
     # a multi-study spec pays process start-up at most once.
     with _OBS.span("spec", category="spec", spec=spec.name, kind=spec.kind), \
             ExperimentExecutor(spec.workers) as executor:
-        if isinstance(body, GridSpec):
-            result = _run_grid_spec(spec, body, executor, store)
-        elif isinstance(body, Figure6Spec):
-            result = _run_figure6_spec(spec, body, executor, store)
-        elif isinstance(body, CongestedMomentsSpec):
-            result = _run_congested_spec(spec, body, executor, store)
-        elif isinstance(body, VestaSpec):
-            result = _run_vesta_spec(spec, body, executor, store)
-        elif isinstance(body, PeriodicSpec):
-            result = _run_periodic_spec(spec, body, executor, store)
-        elif isinstance(body, AnalysisSpec):
-            result = _run_analysis_spec(spec, body, executor, store)
-    if result is None:
-        raise SpecError(f"experiment kind {spec.kind!r} has no runner")
+        payload, records, text = kind.run(spec, spec.body, executor, store)
+    # The reproducibility header opens every payload.
+    echo = {"name": spec.name, "kind": spec.kind, "seed": spec.seed, "max_time": spec.max_time}
+    result = SpecRunResult(
+        spec=spec, payload={"experiment": echo, **payload}, records=records, text=text
+    )
     if store is not None:
         result.store_stats = StoreStats(
             hits=store.stats.hits - stats_before.hits,

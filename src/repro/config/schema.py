@@ -323,6 +323,7 @@ class Section:
         required: bool = ...,
         non_empty: bool = ...,
         unique: bool = ...,
+        choices: Optional[Sequence[str]] = ...,
     ) -> list[str]: ...
 
     @overload
@@ -334,6 +335,7 @@ class Section:
         required: Literal[True],
         non_empty: bool = ...,
         unique: bool = ...,
+        choices: Optional[Sequence[str]] = ...,
     ) -> list[str]: ...
 
     @overload
@@ -345,6 +347,7 @@ class Section:
         required: bool = ...,
         non_empty: bool = ...,
         unique: bool = ...,
+        choices: Optional[Sequence[str]] = ...,
     ) -> Optional[list[str]]: ...
 
     def get_str_list(
@@ -355,8 +358,10 @@ class Section:
         required: bool = False,
         non_empty: bool = False,
         unique: bool = False,
+        choices: Optional[Sequence[str]] = None,
     ) -> Optional[list[str]]:
-        """A list of strings; ``unique`` rejects duplicate entries.
+        """A list of strings; ``unique`` rejects duplicate entries and
+        ``choices`` any entry outside it.
 
         Results keyed by these strings (panels, scheduler averages, node
         mixes) silently collapse on duplicates, so list keys that feed such
@@ -383,6 +388,12 @@ class Section:
             out.append(item)
         if non_empty and not out:
             raise SpecError(f"{self.path(key)} must not be empty")
+        for i, item in enumerate(out):
+            if choices is not None and item not in choices:
+                raise SpecError(
+                    f"{self.path(key)}[{i}] must be one of {sorted(choices)}, "
+                    f"got {item!r}"
+                )
         return out
 
     @overload

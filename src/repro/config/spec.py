@@ -40,7 +40,7 @@ hand-built :func:`repro.experiments.runner.run_grid` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.analysis.sensitivity import FIGURE7_SCHEDULERS
 from repro.config.schema import Section, SpecError
@@ -58,7 +58,6 @@ from repro.workload.ior import VESTA_SCENARIOS, parse_scenario
 __all__ = [
     "SpecError",
     "check_scheduler_name",
-    "EXPERIMENT_KINDS",
     "SCENARIO_KINDS",
     "PERIODIC_HEURISTICS",
     "ANALYSIS_FIGURES",
@@ -85,16 +84,6 @@ __all__ = [
     "ExperimentSpec",
     "parse_spec",
 ]
-
-#: Experiment kinds understood by ``repro run``.
-EXPERIMENT_KINDS: tuple[str, ...] = (
-    "grid",
-    "figure6",
-    "congested-moments",
-    "vesta",
-    "periodic",
-    "analysis",
-)
 
 #: Section 3.2.3 heuristics accepted by ``[periodic].heuristics``: name ->
 #: (heuristic class, period-sweep objective).  Single source of truth — the
@@ -375,6 +364,18 @@ def check_scheduler_name(name: str, where: str) -> str:
         message = exc.args[0] if exc.args else str(exc)
         raise SpecError(f"{where}: {message}") from exc
     return name
+
+
+def _scheduler_names(
+    section: Section, key: str, default: Sequence[str], *, non_empty: bool = True
+) -> tuple[str, ...]:
+    """A list of distinct registry scheduler names, each resolved now."""
+    names = tuple(
+        section.get_str_list(key, list(default), non_empty=non_empty, unique=True)
+    )
+    for i, name in enumerate(names):
+        check_scheduler_name(name, f"{section.path(key)}[{i}]")
+    return names
 
 
 def _parse_schedulers(section: Optional[Section], where: str) -> tuple[SchedulerCaseSpec, ...]:
@@ -772,24 +773,12 @@ def _parse_figure6_body(root: Section) -> Figure6Spec:
     section = root.subsection("figure6") or Section({}, "figure6")
     panels = tuple(
         section.get_str_list("panels", list(FIGURE6_SCENARIOS), non_empty=True,
-                             unique=True)
+                             unique=True, choices=FIGURE6_SCENARIOS)
     )
-    for i, panel in enumerate(panels):
-        if panel not in FIGURE6_SCENARIOS:
-            raise SpecError(
-                f"{section.path('panels')}[{i}] must be one of "
-                f"{sorted(FIGURE6_SCENARIOS)}, got {panel!r}"
-            )
-    schedulers = tuple(
-        section.get_str_list("schedulers", list(FIGURE6_SCHEDULERS),
-                             non_empty=True, unique=True)
-    )
-    for i, name in enumerate(schedulers):
-        check_scheduler_name(name, f"{section.path('schedulers')}[{i}]")
     spec = Figure6Spec(
         panels=panels,
         n_repetitions=section.get_int("n_repetitions", 20, minimum=1),
-        schedulers=schedulers,
+        schedulers=_scheduler_names(section, "schedulers", FIGURE6_SCHEDULERS),
         platform=_parse_platform(section.subsection("platform")),
     )
     section.finish()
@@ -798,12 +787,7 @@ def _parse_figure6_body(root: Section) -> Figure6Spec:
 
 def _parse_congested_body(root: Section) -> CongestedMomentsSpec:
     section = root.subsection("congested_moments") or Section({}, "congested_moments")
-    schedulers = tuple(
-        section.get_str_list("schedulers", list(TABLE_SCHEDULERS),
-                             non_empty=True, unique=True)
-    )
-    for i, name in enumerate(schedulers):
-        check_scheduler_name(name, f"{section.path('schedulers')}[{i}]")
+    schedulers = _scheduler_names(section, "schedulers", TABLE_SCHEDULERS)
     spec = CongestedMomentsSpec(
         machine=section.get_str("machine", "intrepid", choices=("intrepid", "mira")),
         n_moments=section.get_int("n_moments", minimum=1),
@@ -836,15 +820,9 @@ def _parse_vesta_body(root: Section) -> VestaSpec:
     configurations = tuple(
         section.get_str_list(
             "configurations", list(VESTA_CONFIGURATIONS), non_empty=True,
-            unique=True,
+            unique=True, choices=VESTA_CONFIGURATIONS,
         )
     )
-    for i, conf in enumerate(configurations):
-        if conf not in VESTA_CONFIGURATIONS:
-            raise SpecError(
-                f"{section.path('configurations')}[{i}] must be one of "
-                f"{sorted(VESTA_CONFIGURATIONS)}, got {conf!r}"
-            )
     spec = VestaSpec(scenarios=scenarios, configurations=configurations)
     section.finish()
     return spec
@@ -854,20 +832,13 @@ def _parse_periodic_body(root: Section) -> PeriodicSpec:
     section = root.subsection("periodic", required=True)
     heuristics = tuple(
         section.get_str_list(
-            "heuristics", list(PERIODIC_HEURISTICS), non_empty=True, unique=True
+            "heuristics", list(PERIODIC_HEURISTICS), non_empty=True, unique=True,
+            choices=PERIODIC_HEURISTICS,
         )
     )
-    for i, name in enumerate(heuristics):
-        if name not in PERIODIC_HEURISTICS:
-            raise SpecError(
-                f"{section.path('heuristics')}[{i}] must be one of "
-                f"{sorted(PERIODIC_HEURISTICS)}, got {name!r}"
-            )
-    online = tuple(
-        section.get_str_list("online", ["MaxSysEff", "MinDilation"], unique=True)
+    online = _scheduler_names(
+        section, "online", ("MaxSysEff", "MinDilation"), non_empty=False
     )
-    for i, name in enumerate(online):
-        check_scheduler_name(name, f"{section.path('online')}[{i}]")
 
     app_sections = section.sections("apps")
     apps = tuple(_parse_app(s) for s in app_sections)
@@ -924,78 +895,51 @@ def _parse_analysis_body(root: Section) -> AnalysisSpec:
     section = root.subsection("analysis") or Section({}, "analysis")
     figures = tuple(
         section.get_str_list(
-            "figures", list(ANALYSIS_FIGURES), non_empty=True, unique=True
+            "figures", list(ANALYSIS_FIGURES), non_empty=True, unique=True,
+            choices=ANALYSIS_FIGURES,
         )
     )
-    for i, figure in enumerate(figures):
-        if figure not in ANALYSIS_FIGURES:
-            raise SpecError(
-                f"{section.path('figures')}[{i}] must be one of "
-                f"{sorted(ANALYSIS_FIGURES)}, got {figure!r}"
-            )
 
-    fig1_section = section.subsection("figure1")
-    figure1 = Figure1Spec()
-    if fig1_section is not None:
-        figure1 = Figure1Spec(
-            n_applications=fig1_section.get_int("n_applications", 400, minimum=1),
-            applications_per_batch=fig1_section.get_int(
-                "applications_per_batch", 6, minimum=2
-            ),
-            io_ratio=fig1_section.get_float(
-                "io_ratio", 0.15, minimum=0.0, maximum=10.0
-            ),
-            release_spread=fig1_section.get_float(
-                "release_spread", 2.0, minimum=0.0
-            ),
-            bin_width=fig1_section.get_float("bin_width", 10.0, positive=True),
-        )
-        fig1_section.finish()
+    # An absent figure table parses as an empty one: every key defaults.
+    fig1_section = section.subsection("figure1") or Section({}, "analysis.figure1")
+    figure1 = Figure1Spec(
+        n_applications=fig1_section.get_int("n_applications", 400, minimum=1),
+        applications_per_batch=fig1_section.get_int(
+            "applications_per_batch", 6, minimum=2
+        ),
+        io_ratio=fig1_section.get_float("io_ratio", 0.15, minimum=0.0, maximum=10.0),
+        release_spread=fig1_section.get_float("release_spread", 2.0, minimum=0.0),
+        bin_width=fig1_section.get_float("bin_width", 10.0, positive=True),
+    )
+    fig1_section.finish()
 
-    fig5_section = section.subsection("figure5")
-    figure5 = Figure5Spec()
-    if fig5_section is not None:
-        figure5 = Figure5Spec(
-            n_jobs=fig5_section.get_int("n_jobs", 400, minimum=1),
-            duration_days=fig5_section.get_float(
-                "duration_days", 365.0, positive=True
-            ),
-            coverage=fig5_section.get_float(
-                "coverage", 0.5, minimum=0.0, maximum=1.0
-            ),
-        )
-        fig5_section.finish()
+    fig5_section = section.subsection("figure5") or Section({}, "analysis.figure5")
+    figure5 = Figure5Spec(
+        n_jobs=fig5_section.get_int("n_jobs", 400, minimum=1),
+        duration_days=fig5_section.get_float("duration_days", 365.0, positive=True),
+        coverage=fig5_section.get_float("coverage", 0.5, minimum=0.0, maximum=1.0),
+    )
+    fig5_section.finish()
 
-    fig7_section = section.subsection("figure7")
-    figure7 = Figure7Spec()
-    if fig7_section is not None:
-        schedulers = tuple(
-            fig7_section.get_str_list(
-                "schedulers", list(FIGURE7_SCHEDULERS), non_empty=True,
+    fig7_section = section.subsection("figure7") or Section({}, "analysis.figure7")
+    schedulers = _scheduler_names(fig7_section, "schedulers", FIGURE7_SCHEDULERS)
+    figure7 = Figure7Spec(
+        sensibilities=tuple(
+            fig7_section.get_float_list(
+                "sensibilities",
+                list(Figure7Spec().sensibilities),
+                non_empty=True,
                 unique=True,
+                minimum=0.0,
+                maximum=99.0,
             )
-        )
-        for i, name in enumerate(schedulers):
-            check_scheduler_name(name, f"{fig7_section.path('schedulers')}[{i}]")
-        figure7 = Figure7Spec(
-            sensibilities=tuple(
-                fig7_section.get_float_list(
-                    "sensibilities",
-                    list(Figure7Spec().sensibilities),
-                    non_empty=True,
-                    unique=True,
-                    minimum=0.0,
-                    maximum=99.0,
-                )
-            ),
-            schedulers=schedulers,
-            scenario=fig7_section.get_str(
-                "scenario", "10large-20", choices=FIGURE6_SCENARIOS
-            ),
-            n_repetitions=fig7_section.get_int("n_repetitions", 5, minimum=1),
-            perturb_io=fig7_section.get_bool("perturb_io", False),
-        )
-        fig7_section.finish()
+        ),
+        schedulers=schedulers,
+        scenario=fig7_section.get_str("scenario", "10large-20", choices=FIGURE6_SCENARIOS),
+        n_repetitions=fig7_section.get_int("n_repetitions", 5, minimum=1),
+        perturb_io=fig7_section.get_bool("perturb_io", False),
+    )
+    fig7_section.finish()
 
     spec = AnalysisSpec(
         figures=figures,
@@ -1015,6 +959,9 @@ def parse_spec(data: Mapping[str, object], *, name: str = "experiment") -> Exper
     hand-built dict — the quickstart command builds one inline).  Raises
     :class:`SpecError` with the exact spec path on any malformed key.
     """
+    # The kind table imports this module's parsers, so it loads lazily.
+    from repro.config.kinds import EXPERIMENT_KINDS, KINDS
+
     root = Section(data, "")
     experiment = root.subsection("experiment", required=True)
     kind = experiment.get_str("kind", required=True, choices=EXPERIMENT_KINDS)
@@ -1024,57 +971,10 @@ def parse_spec(data: Mapping[str, object], *, name: str = "experiment") -> Exper
     max_time = experiment.get_float(
         "max_time", float("inf"), positive=True, allow_inf=True
     )
-    if kind == "vesta" and max_time != float("inf"):
-        # Vesta cells are overhead-scored on complete runs; truncating them
-        # would produce misleading numbers (see repro.config.run).
-        raise SpecError(
-            "experiment.max_time is not supported for kind 'vesta' "
-            "(cells are overhead-scored on complete runs)"
-        )
-    if kind == "periodic" and max_time != float("inf"):
-        # A steady-state period has no horizon, so max_time could only
-        # truncate the online half — the comparison table would silently
-        # pit full periodic schedules against truncated online runs.
-        raise SpecError(
-            "experiment.max_time is not supported for kind 'periodic' "
-            "(a steady-state schedule has no horizon; truncating only the "
-            "online half would skew the periodic-vs-online comparison)"
-        )
     experiment.finish()
-
-    if kind != "grid" and root.has("faults"):
-        raise SpecError(
-            f"[faults] is only supported for kind 'grid', not {kind!r}"
-        )
-
-    body: ExperimentBody
-    if kind == "grid":
-        body = _parse_grid_body(root)
-    elif kind == "figure6":
-        body = _parse_figure6_body(root)
-    elif kind == "congested-moments":
-        body = _parse_congested_body(root)
-    elif kind == "periodic":
-        body = _parse_periodic_body(root)
-    elif kind == "analysis":
-        body = _parse_analysis_body(root)
-    else:
-        body = _parse_vesta_body(root)
-
-    if kind == "grid":
-        grid_body = body
-        assert isinstance(grid_body, GridSpec)
-        if (
-            grid_body.faults is not None
-            and grid_body.faults.is_stochastic
-            and max_time == float("inf")
-        ):
-            raise SpecError(
-                "stochastic fault processes ([faults.random_windows] / "
-                "[faults.random_crashes]) need a finite experiment.max_time "
-                "horizon to realize their events over"
-            )
-
+    kind_entry = KINDS[kind]
+    body = kind_entry.parse(root)
+    kind_entry.refuse_horizon(body, max_time)
     output = _parse_output(root.subsection("output"))
     root.finish()
     return ExperimentSpec(

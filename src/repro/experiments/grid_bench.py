@@ -31,11 +31,12 @@ import json
 import platform as _platform
 import time
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
+from repro.config.kinds import KINDS
 from repro.config.loader import load_spec
 from repro.config.run import run_spec
-from repro.config.spec import AnalysisSpec, ExperimentSpec, PeriodicSpec
+from repro.config.spec import ExperimentSpec
 from repro.experiments.runner import resolve_workers
 from repro.obs.telemetry import recorder as _obs_recorder
 from repro.utils.validation import ValidationError, check_positive
@@ -94,62 +95,15 @@ def bench_spec_path(name: str) -> Path:
 def scaled_spec(spec: ExperimentSpec, scale: int) -> ExperimentSpec:
     """A deepened copy of a bench spec (``scale=1`` returns it unchanged).
 
-    Scaling stays inside the spec dataclasses so the bundled files remain
-    the source of truth: ``analysis`` multiplies the Figure 1 application
-    count and the Figure 7 repetitions; ``periodic`` divides the sweep step
-    ``epsilon`` (a finer sweep, more greedy builds).  Other
-    kinds scale by running unchanged — their cost is already proportional
-    to the spec contents.
+    Scaling stays inside the spec dataclasses, so the bundled files remain
+    the source of truth: each kind's ``deepen`` in
+    :data:`repro.config.kinds.KINDS` says how.  Kinds without one run
+    unchanged — their cost is already proportional to the spec contents.
     """
     check_positive("scale", scale)
     if scale == 1:
         return spec
-    body = spec.body
-    if isinstance(body, AnalysisSpec):
-        body = dataclasses.replace(
-            body,
-            figure1=dataclasses.replace(
-                body.figure1,
-                n_applications=body.figure1.n_applications * scale,
-            ),
-            figure7=dataclasses.replace(
-                body.figure7,
-                n_repetitions=body.figure7.n_repetitions * scale,
-            ),
-        )
-    elif isinstance(body, PeriodicSpec):
-        body = dataclasses.replace(body, epsilon=body.epsilon / scale)
-    return dataclasses.replace(spec, body=body)
-
-
-def _count_cells(spec: ExperimentSpec, payload: Mapping) -> int:
-    """Independent work units (simulations / schedule evaluations) of a run."""
-    body = spec.body
-    if isinstance(body, AnalysisSpec):
-        from repro.analysis.throughput import figure1_batch_count
-
-        cells = 0
-        if "figure1" in payload.get("figures", {}):
-            f1 = body.figure1
-            cells += figure1_batch_count(
-                f1.n_applications, f1.applications_per_batch
-            )
-        if "figure5" in payload.get("figures", {}):
-            cells += 1
-        if "figure7" in payload.get("figures", {}):
-            f7 = body.figure7
-            cells += (
-                len(f7.sensibilities) * f7.n_repetitions * len(f7.schedulers)
-            )
-        return cells
-    if isinstance(body, PeriodicSpec):
-        cells = sum(
-            len(entry.get("sweep", ()))
-            for entry in payload.get("periodic", {}).values()
-        )
-        cells += len(payload.get("online", {}))
-        return cells
-    return max(1, len(payload.get("cells", ())))
+    return dataclasses.replace(spec, body=KINDS[spec.kind].deepen(spec.body, scale))
 
 
 def _stage_seconds() -> dict[str, float]:
@@ -199,7 +153,7 @@ def measure_spec_run(
 
     serial_seconds, serial_payload, serial_stages = _timed_run(serial_spec)
     pooled_seconds, pooled_payload, pooled_stages = _timed_run(pooled_spec)
-    n_cells = _count_cells(spec, serial_payload)
+    n_cells = KINDS[spec.kind].cells(spec.body, serial_payload)
     identical = json.dumps(serial_payload, sort_keys=True) == json.dumps(
         pooled_payload, sort_keys=True
     )
