@@ -2,7 +2,7 @@
 
 Not a paper figure: this is the perf-regression harness for the simulator
 hot path.  Every cell simulates the same congested scenario with the
-columnar engine and the preserved seed (reference) engine over the same
+engine and the preserved seed (reference) engine over the same
 horizon, reports events/sec, and asserts that both traverse the identical
 timeline.  The suite payload is written to ``BENCH_engine.json`` (override
 with ``REPRO_BENCH_OUT``) so successive PRs can diff the trajectory.

@@ -909,10 +909,14 @@ def _collect_spec_paths(args: argparse.Namespace) -> list[str]:
 
 
 def _validate_one(spec_path: str):
-    spec = load_spec(spec_path)
+    spec = load_spec(spec_path)  # its errors already name the file
     # Parsing alone misses the kind's deterministic build-time checks; run
     # them too, so exit 0 really means "repro run will accept this spec".
-    KINDS[spec.kind].check(spec)
+    # Their errors carry no path of their own.
+    try:
+        KINDS[spec.kind].check(spec)
+    except ValidationError as exc:
+        raise ValidationError(f"{spec_path}: {exc}") from exc
     return spec
 
 
@@ -920,11 +924,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     failures = 0
     for spec_path in _collect_spec_paths(args):
         # Validate every spec even after a failure: CI should surface all
-        # broken specs in one pass, with one path-prefixed message each.
+        # broken specs in one pass, with one message naming the file each.
         try:
             spec = _validate_one(spec_path)
         except ValidationError as exc:
-            print(f"error: {spec_path}: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             failures += 1
             continue
         print(f"OK: {spec_path} — experiment {spec.name!r}, kind {spec.kind!r}")

@@ -3,7 +3,7 @@
 The paper's campaigns replay thousands of (scenario × scheduler) cells, so
 the events-per-second throughput of the discrete-event engine bounds every
 experiment in this repository.  This module builds synthetic congested
-scenarios of controlled size, times the columnar engine
+scenarios of controlled size, times the engine
 (:mod:`repro.simulator.engine`) against the preserved seed engine
 (:mod:`repro.simulator.reference`) on identical windows, and emits a
 machine-readable payload (``BENCH_engine.json``) that future PRs diff to
@@ -59,10 +59,14 @@ _OBS = _obs_recorder()
 
 #: The (n_apps, n_instances) cells of the scaling grid.  500 × 100 is the
 #: headline cell: large enough that the seed engine's O(n_apps × n_instances)
-#: per-event cost dominates, small enough to stay benchmark-sized.
+#: per-event cost dominates, small enough to stay benchmark-sized.  55 is
+#: Figure 6's widest mix (50small5large): the widest cells the scalar kernel
+#: runs; the 100- and 500-app cells run the columnar kernel.
 DEFAULT_GRID: tuple[tuple[int, int], ...] = (
     (10, 10),
     (10, 100),
+    (55, 10),
+    (55, 100),
     (100, 10),
     (100, 100),
     (500, 10),
@@ -174,8 +178,8 @@ def measure_cell(
     """Time one grid cell on the engine (and the reference oracle).
 
     Returns a JSON-ready mapping with ``n_events`` / ``seconds`` /
-    ``events_per_sec`` per engine run (key ``batched`` for the columnar
-    engine — the historical name, kept so BENCH diffs stay readable — and
+    ``events_per_sec`` per engine run (key ``batched`` for the engine —
+    the historical name, kept so BENCH diffs stay readable — and
     ``reference`` for the oracle).  When the reference runs, the mapping
     also holds the ``batched_speedup`` ratio and an ``identical`` flag
     (equal event counts and makespans — both engines must traverse the same

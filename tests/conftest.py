@@ -8,6 +8,7 @@ scenarios reused across modules.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import pytest
 
@@ -15,6 +16,24 @@ from repro.core.application import Application
 from repro.core.platform import BurstBufferSpec, Platform
 from repro.core.scenario import Scenario
 from repro.obs.telemetry import recorder
+
+
+@pytest.fixture(scope="module", params=("scalar", "columnar"))
+def engine_kernel(request):
+    """Run every test of a module once on each native engine kernel.
+
+    ``simulate`` picks the kernel from the scenario width; moving the
+    crossover forces the named kernel whatever the width, so narrow
+    fuzz scenarios reach the columnar kernel too.  Module-scoped so
+    hypothesis tests may use it.  Apply with
+    ``pytestmark = pytest.mark.usefixtures("engine_kernel")``.
+    """
+    from repro.simulator import engine
+
+    crossover = math.inf if request.param == "scalar" else 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_SCALAR_MAX_APPS", crossover)
+        yield request.param
 
 
 @pytest.fixture

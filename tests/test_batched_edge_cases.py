@@ -1,4 +1,4 @@
-"""Columnar-engine edge cases the fuzzer is unlikely to hit.
+"""Engine edge cases the fuzzer is unlikely to hit, on both native kernels.
 
 The differential harness (`tests/test_engine_differential.py`) explores the
 healthy interior of the scenario space; these tests pin the boundary
@@ -34,6 +34,10 @@ from repro.online.registry import make_scheduler
 from repro.simulator.engine import SimulatorConfig, StallError, simulate
 from repro.simulator.reference import reference_simulate
 from repro.utils.validation import ValidationError
+
+#: Every test runs once on each native kernel (scalar and columnar); see
+#: the ``engine_kernel`` fixture in conftest.py.
+pytestmark = pytest.mark.usefixtures("engine_kernel")
 
 ENGINES = {
     "reference": reference_simulate,

@@ -121,6 +121,22 @@ class TestMain:
         assert main(["validate", str(bad)]) == 2
         assert "duplicate scenario label" in capsys.readouterr().err
 
+    def test_validate_names_the_spec_path_once(self, tmp_path, capsys):
+        """Load errors name the file themselves; kind-check errors carry no
+        path.  Either way the path is printed exactly once."""
+        missing = tmp_path / "missing_key.toml"
+        missing.write_text('[experiment]\nkind = "grid"\n')
+        dup = tmp_path / "dup.toml"
+        dup.write_text(
+            TINY_GRID + '\n[[scenarios]]\nkind = "mix"\nsmall = 2\n'
+            'label = "mix-0"\n'
+        )
+        for bad, reason in ((missing, "scenarios"), (dup, "duplicate scenario")):
+            assert main(["validate", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert reason in err
+            assert err.count(str(bad)) == 1, err
+
     def test_validate_checks_figure6_mixes_fit_the_platform(
         self, tmp_path, capsys
     ):

@@ -1,14 +1,14 @@
 """Property-based differential fuzzing of the engine against its oracle.
 
 :mod:`repro.simulator.reference` (the seed oracle) and
-:mod:`repro.simulator.engine` (the columnar numpy engine) claim to produce
-*bit-identical* results — not merely tolerance-level agreement.  These
-tests put that claim under hypothesis: random application mixes,
-schedulers, burst-buffer configurations and fault tables (brown-out
-windows, blackouts, crashes) are generated, run through both engines, and
-every comparable output — per-application records, makespans, fault
-counters, burst-buffer stats and full event logs — is asserted exactly
-equal.
+:mod:`repro.simulator.engine` (both of its native kernels, scalar and
+columnar) claim to produce *bit-identical* results — not merely
+tolerance-level agreement.  These tests put that claim under hypothesis:
+random application mixes, schedulers, burst-buffer configurations and
+fault tables (brown-out windows, blackouts, crashes) are generated, run
+through both engines, and every comparable output — per-application
+records, makespans, fault counters, burst-buffer stats and full event
+logs — is asserted exactly equal.
 
 When a case fails, hypothesis shrinks it: the falsifying example printed
 by the test is the *minimal* scenario (fewest apps / instances, smallest
@@ -39,6 +39,10 @@ from repro.faults import BandwidthWindow, CrashEvent, FaultModel  # noqa: E402
 from repro.online.registry import make_scheduler  # noqa: E402
 from repro.simulator.engine import SimulatorConfig, simulate  # noqa: E402
 from repro.simulator.reference import reference_simulate  # noqa: E402
+
+#: Every test runs once on each native kernel (scalar and columnar); see
+#: the ``engine_kernel`` fixture in conftest.py.
+pytestmark = pytest.mark.usefixtures("engine_kernel")
 
 #: Every scheduler family the registry can build: the four paper
 #: heuristics, the gamma-split, Priority variants, the fair-share baseline

@@ -1,7 +1,9 @@
 """Optimized engine vs seed engine: the timelines must be identical.
 
 The engine (:mod:`repro.simulator.engine`) replaces the seed engine's
-per-event full scans with columnar numpy state and vectorized passes.
+per-event full scans with incremental state: plain-float passes over the
+I/O candidates (the scalar kernel) or whole-column numpy passes (the
+columnar kernel); every test here runs on both.
 Those are pure bookkeeping changes — every event time and every float in
 the records must come out bit-for-bit the same — so these tests run
 randomized scenarios through both engines and require identical records,
@@ -26,6 +28,10 @@ from repro.core.events import EventLog
 from repro.online.registry import available_schedulers, make_scheduler
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.reference import reference_simulate
+
+#: Every test runs once on each native kernel (scalar and columnar); see
+#: the ``engine_kernel`` fixture in conftest.py.
+pytestmark = pytest.mark.usefixtures("engine_kernel")
 
 #: Makespans / completion times must agree to this tolerance (they are
 #: expected — and observed — to agree exactly; the tolerance documents the

@@ -10,9 +10,12 @@ from repro.core.allocation import BandwidthAllocation
 from repro.core.application import Application
 from repro.core.events import EventLog, EventType
 from repro.core.scenario import Scenario
+from repro.experiments.scaling import scaling_scenario
+from repro.obs.telemetry import recorder
 from repro.online.baselines import FairShare
 from repro.online.heuristics import MaxSysEff, MinDilation, RoundRobin
 from repro.simulator.engine import (
+    _SCALAR_MAX_APPS,
     SimulationError,
     Simulator,
     SimulatorConfig,
@@ -27,6 +30,47 @@ from repro.utils.validation import ValidationError
 def ideal_fair_share() -> FairShare:
     """Work-conserving fair share (no interference) — easy to reason about."""
     return FairShare(name="IdealShare", interference=NO_INTERFERENCE)
+
+
+class TestKernelDispatch:
+    """``simulate`` picks the kernel from the width and counts the choice."""
+
+    @pytest.fixture
+    def rec(self):
+        rec = recorder()
+        rec.reset()
+        rec.enable()
+        yield rec
+        rec.reset()
+
+    @staticmethod
+    def _runs(rec) -> dict:
+        return {
+            dict(c.labels)["kernel"]: c.value
+            for c in rec.registry.counters()
+            if c.name == "repro_engine_runs_total"
+        }
+
+    @pytest.mark.parametrize(
+        "n_apps, kernel",
+        [(_SCALAR_MAX_APPS, "scalar"), (_SCALAR_MAX_APPS + 1, "columnar")],
+    )
+    def test_crossover_width_matches_reference(self, rec, n_apps, kernel):
+        scenario = scaling_scenario(n_apps, 2)
+        config = SimulatorConfig(record_events=True)
+        log, oracle_log = EventLog(), EventLog()
+        result = simulate(scenario, MaxSysEff(), config, log)
+        oracle = reference_simulate(scenario, MaxSysEff(), config, oracle_log)
+        assert self._runs(rec) == {kernel: 1.0}
+        assert result.records == oracle.records
+        assert result.makespan == oracle.makespan
+        assert result.n_events == oracle.n_events
+        assert list(log) == list(oracle_log)
+
+    def test_each_run_counts_its_kernel(self, rec):
+        for n_apps in (2, _SCALAR_MAX_APPS + 1, 3):
+            simulate(scaling_scenario(n_apps, 1), MaxSysEff())
+        assert self._runs(rec) == {"scalar": 2.0, "columnar": 1.0}
 
 
 class TestSingleApplication:
