@@ -5,10 +5,11 @@ reproducible experiment: platform, application scenarios with pinned seeds,
 scheduler list, truncation horizon and output destination.  The subsystem
 splits into six small modules:
 
-* :mod:`repro.config.schema` — typed key extraction with path-aware errors
+* :mod:`repro.config.schema` — key declarations, the one walker that reads
+  them, and typed key extraction with path-aware errors
   (``scenarios[0].io_ratio must be a number``);
-* :mod:`repro.config.spec` — the validated spec dataclasses and
-  :func:`~repro.config.spec.parse_spec`;
+* :mod:`repro.config.spec` — the validated spec dataclasses, whose fields
+  declare every key, and :func:`~repro.config.spec.parse_spec`;
 * :mod:`repro.config.loader` — :func:`~repro.config.loader.load_spec` for
   ``.toml`` / ``.json`` files;
 * :mod:`repro.config.build` / :mod:`repro.config.run` — spec → live model

@@ -3,8 +3,8 @@
 :data:`KINDS` maps each kind's name to a :class:`Kind` record, and each
 step that depends on the kind does one lookup: ``parse_spec``,
 ``run_spec``, ``repro validate``, ``repro list experiments`` and the spec
-benchmark.  The functions a record points at stay in their layer modules
-(parsers in :mod:`repro.config.spec`, runners in :mod:`repro.config.run`):
+benchmark.  The body dataclasses, whose fields declare the keys, stay in
+:mod:`repro.config.spec` and the runners in :mod:`repro.config.run`:
 ``perfbench``'s tracer times each layer by patching the harness names on
 :mod:`repro.config.run`, so the runners must keep calling them there.
 """
@@ -18,10 +18,18 @@ from typing import Callable, Mapping, Optional
 
 import repro.config.build as builders
 import repro.config.run as runners
-import repro.config.spec as parsers
 from repro.analysis.throughput import figure1_batch_count
-from repro.config.schema import Section, SpecError
-from repro.config.spec import ExperimentBody, ExperimentSpec
+from repro.config.schema import Key, Section, SpecError, read_key, read_keys
+from repro.config.spec import (
+    AnalysisSpec,
+    CongestedMomentsSpec,
+    ExperimentBody,
+    ExperimentSpec,
+    Figure6Spec,
+    GridSpec,
+    PeriodicSpec,
+    VestaSpec,
+)
 
 __all__ = ["Kind", "KINDS", "EXPERIMENT_KINDS"]
 
@@ -61,16 +69,24 @@ class Kind:
             raise SpecError(refusal)
 
 
-def _without_faults(kind: str, parse: Callable[[Section], ExperimentBody]):
-    """``parse`` for a kind without fault injection: a ``[faults]`` table is
-    refused first, before the body parser can trip over something else."""
+def _parse_grid(root: Section) -> ExperimentBody:
+    # The grid's keys sit at the spec root, which parse_spec finishes.
+    return GridSpec(**read_keys(GridSpec, root))
 
-    def parse_body(root: Section) -> ExperimentBody:
+
+def _body_table(kind: str, body: type, *, required: bool = False):
+    """``parse`` for a kind whose body is the root table named after it
+    (``-`` spelled ``_``), absent meaning empty unless ``required``.  Such
+    kinds have no fault injection: a ``[faults]`` table is refused first,
+    before the body can trip over something else."""
+    table = Key("table", table=body, required=required)
+
+    def parse(root: Section) -> ExperimentBody:
         if root.has("faults"):
             raise SpecError(f"[faults] is only supported for kind 'grid', not {kind!r}")
-        return parse(root)
+        return read_key(root, kind.replace("-", "_"), table)
 
-    return parse_body
+    return parse
 
 
 def _complete_runs_only(kind: str, reason: str):
@@ -136,25 +152,25 @@ def _analysis_cells(body, payload: Mapping) -> int:
 KINDS: dict[str, Kind] = {
     "grid": Kind(
         description="generic (scenarios x schedulers) grid — fully declarative",
-        parse=parsers._parse_grid_body,
+        parse=_parse_grid,
         run=runners._run_grid_spec,
         horizon=_grid_horizon,
         check=_check_grid,
     ),
     "figure6": Kind(
         description="random-mix heuristic comparison (Figure 6 panels)",
-        parse=_without_faults("figure6", parsers._parse_figure6_body),
+        parse=_body_table("figure6", Figure6Spec),
         run=runners._run_figure6_spec,
         check=lambda spec: builders.check_figure6_setup(spec.body, spec.seed),
     ),
     "congested-moments": Kind(
         description="Intrepid/Mira congested-moment campaigns (Tables 1-2, Figures 8-13)",
-        parse=_without_faults("congested-moments", parsers._parse_congested_body),
+        parse=_body_table("congested-moments", CongestedMomentsSpec),
         run=runners._run_congested_spec,
     ),
     "vesta": Kind(
         description="Vesta / modified-IOR emulation (Figures 14-16)",
-        parse=_without_faults("vesta", parsers._parse_vesta_body),
+        parse=_body_table("vesta", VestaSpec),
         run=runners._run_vesta_spec,
         # score_with_overhead rebuilds each outcome from the complete original
         # parameters, so a truncated cell would score misleadingly.
@@ -163,7 +179,7 @@ KINDS: dict[str, Kind] = {
     "periodic": Kind(
         description="Section 3.2 periodic heuristics + (1+eps) period sweep, "
                     "compared against the online schedulers",
-        parse=_without_faults("periodic", parsers._parse_periodic_body),
+        parse=_body_table("periodic", PeriodicSpec, required=True),
         run=runners._run_periodic_spec,
         horizon=_complete_runs_only(
             "periodic",
@@ -178,7 +194,7 @@ KINDS: dict[str, Kind] = {
     "analysis": Kind(
         description="figure-level studies: throughput decrease (Fig 1), workload "
                     "characterization (Fig 5), sensibility (Fig 7)",
-        parse=_without_faults("analysis", parsers._parse_analysis_body),
+        parse=_body_table("analysis", AnalysisSpec),
         run=runners._run_analysis_spec,
         check=lambda spec: builders.check_analysis_setup(spec.body, spec.seed),
         deepen=_deepen_analysis,

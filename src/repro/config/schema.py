@@ -1,10 +1,19 @@
-"""Low-level spec validation: typed key extraction with path-aware errors.
+"""Low-level spec validation: declared keys, one walker, path-aware errors.
 
 Declarative specs arrive as nested mappings (parsed from TOML or JSON, or
 built directly as Python dicts).  Everything in this module exists to turn a
 malformed spec into an error message that names the exact key that is wrong
 — ``scenarios[2].io_ratio must be a number, got 'lots'`` — instead of a bare
 ``KeyError`` three stack frames deep inside a builder.
+
+Each spec key is declared once, as a :func:`key` field of the spec
+dataclass its table parses into (:mod:`repro.config.spec`): the getter
+kind, default, ``required`` flag, bounds, choices, list constraints and,
+for ``[[scenarios]]``, the scenario kinds the key belongs to.
+:func:`parse_body` walks a dataclass's declared keys in field order, reads
+each through :class:`Section`, recurses into nested tables and arrays of
+tables, runs the class's hand-written ``cross_check`` (the rules that span
+several keys) and finally rejects unknown keys.
 
 :class:`Section` wraps one table of the spec together with its path.  Typed
 getters (:meth:`Section.get_str`, :meth:`Section.get_float`, ...) consume
@@ -15,11 +24,22 @@ with the list of keys that *would* have been accepted.
 
 from __future__ import annotations
 
-from typing import Any, Literal, Mapping, Optional, Sequence, overload
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.utils.validation import ValidationError
 
-__all__ = ["SpecError", "Section"]
+__all__ = [
+    "SpecError",
+    "Section",
+    "Key",
+    "key",
+    "declared_keys",
+    "read_key",
+    "read_keys",
+    "parse_body",
+]
 
 
 class SpecError(ValidationError):
@@ -33,6 +53,15 @@ class SpecError(ValidationError):
 
 def _type_name(value: object) -> str:
     return type(value).__name__
+
+
+def _as_float(value: int | float) -> float:
+    # An integer beyond the float range (JSON allows any length) is
+    # infinite, so the finiteness and bound checks report it as such.
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class Section:
@@ -94,40 +123,6 @@ class Section:
             raise SpecError(f"missing required key {self.path(key)!r}")
         return default
 
-    # The getters narrow statically the same way they behave dynamically:
-    # a non-None default or required=True can never return None, so those
-    # call shapes type as the bare value — spec dataclass fields annotated
-    # non-Optional accept them under mypy --strict without casts.
-    @overload
-    def get_str(
-        self,
-        key: str,
-        default: str,
-        *,
-        required: bool = ...,
-        choices: Optional[Sequence[str]] = ...,
-    ) -> str: ...
-
-    @overload
-    def get_str(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: Literal[True],
-        choices: Optional[Sequence[str]] = ...,
-    ) -> str: ...
-
-    @overload
-    def get_str(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: bool = ...,
-        choices: Optional[Sequence[str]] = ...,
-    ) -> Optional[str]: ...
-
     def get_str(
         self,
         key: str,
@@ -150,21 +145,6 @@ class Section:
             )
         return value
 
-    @overload
-    def get_bool(
-        self, key: str, default: bool, *, required: bool = ...
-    ) -> bool: ...
-
-    @overload
-    def get_bool(
-        self, key: str, default: None = ..., *, required: Literal[True]
-    ) -> bool: ...
-
-    @overload
-    def get_bool(
-        self, key: str, default: None = ..., *, required: bool = ...
-    ) -> Optional[bool]: ...
-
     def get_bool(
         self, key: str, default: Optional[bool] = None, *, required: bool = False
     ) -> Optional[bool]:
@@ -177,39 +157,6 @@ class Section:
                 f"{self.path(key)} must be a boolean, got {_type_name(value)}"
             )
         return value
-
-    @overload
-    def get_int(
-        self,
-        key: str,
-        default: int,
-        *,
-        required: bool = ...,
-        minimum: Optional[int] = ...,
-        maximum: Optional[int] = ...,
-    ) -> int: ...
-
-    @overload
-    def get_int(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: Literal[True],
-        minimum: Optional[int] = ...,
-        maximum: Optional[int] = ...,
-    ) -> int: ...
-
-    @overload
-    def get_int(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: bool = ...,
-        minimum: Optional[int] = ...,
-        maximum: Optional[int] = ...,
-    ) -> Optional[int]: ...
 
     def get_int(
         self,
@@ -233,45 +180,6 @@ class Section:
         if maximum is not None and value > maximum:
             raise SpecError(f"{self.path(key)} must be <= {maximum}, got {value}")
         return value
-
-    @overload
-    def get_float(
-        self,
-        key: str,
-        default: float,
-        *,
-        required: bool = ...,
-        minimum: Optional[float] = ...,
-        maximum: Optional[float] = ...,
-        positive: bool = ...,
-        allow_inf: bool = ...,
-    ) -> float: ...
-
-    @overload
-    def get_float(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: Literal[True],
-        minimum: Optional[float] = ...,
-        maximum: Optional[float] = ...,
-        positive: bool = ...,
-        allow_inf: bool = ...,
-    ) -> float: ...
-
-    @overload
-    def get_float(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: bool = ...,
-        minimum: Optional[float] = ...,
-        maximum: Optional[float] = ...,
-        positive: bool = ...,
-        allow_inf: bool = ...,
-    ) -> Optional[float]: ...
 
     def get_float(
         self,
@@ -301,7 +209,7 @@ class Section:
             raise SpecError(
                 f"{self.path(key)} must be a number, got {value!r}"
             )
-        value = float(value)
+        value = _as_float(value)
         if value != value:
             raise SpecError(f"{self.path(key)} must not be NaN")
         if not allow_inf and value in (float("inf"), float("-inf")):
@@ -313,42 +221,6 @@ class Section:
         if maximum is not None and value > maximum:
             raise SpecError(f"{self.path(key)} must be <= {maximum}, got {value}")
         return value
-
-    @overload
-    def get_str_list(
-        self,
-        key: str,
-        default: Sequence[str],
-        *,
-        required: bool = ...,
-        non_empty: bool = ...,
-        unique: bool = ...,
-        choices: Optional[Sequence[str]] = ...,
-    ) -> list[str]: ...
-
-    @overload
-    def get_str_list(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: Literal[True],
-        non_empty: bool = ...,
-        unique: bool = ...,
-        choices: Optional[Sequence[str]] = ...,
-    ) -> list[str]: ...
-
-    @overload
-    def get_str_list(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: bool = ...,
-        non_empty: bool = ...,
-        unique: bool = ...,
-        choices: Optional[Sequence[str]] = ...,
-    ) -> Optional[list[str]]: ...
 
     def get_str_list(
         self,
@@ -396,45 +268,6 @@ class Section:
                 )
         return out
 
-    @overload
-    def get_float_list(
-        self,
-        key: str,
-        default: Sequence[float],
-        *,
-        required: bool = ...,
-        non_empty: bool = ...,
-        unique: bool = ...,
-        minimum: Optional[float] = ...,
-        maximum: Optional[float] = ...,
-    ) -> list[float]: ...
-
-    @overload
-    def get_float_list(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: Literal[True],
-        non_empty: bool = ...,
-        unique: bool = ...,
-        minimum: Optional[float] = ...,
-        maximum: Optional[float] = ...,
-    ) -> list[float]: ...
-
-    @overload
-    def get_float_list(
-        self,
-        key: str,
-        default: None = ...,
-        *,
-        required: bool = ...,
-        non_empty: bool = ...,
-        unique: bool = ...,
-        minimum: Optional[float] = ...,
-        maximum: Optional[float] = ...,
-    ) -> Optional[list[float]]: ...
-
     def get_float_list(
         self,
         key: str,
@@ -468,7 +301,7 @@ class Section:
                 raise SpecError(
                     f"{self.path(key)}[{i}] must be a number, got {item!r}"
                 )
-            item = float(item)
+            item = _as_float(item)
             if item != item:
                 raise SpecError(f"{self.path(key)}[{i}] must not be NaN")
             if minimum is not None and item < minimum:
@@ -490,14 +323,6 @@ class Section:
         return out
 
     # ------------------------------------------------------------------ #
-    @overload
-    def subsection(self, key: str, *, required: Literal[True]) -> "Section": ...
-
-    @overload
-    def subsection(
-        self, key: str, *, required: bool = ...
-    ) -> Optional["Section"]: ...
-
     def subsection(self, key: str, *, required: bool = False) -> Optional["Section"]:
         """A nested table, or ``None`` when absent and not required."""
         value = self._take(key, None, required)
@@ -525,3 +350,134 @@ class Section:
             raise self.error(
                 f"unknown key(s) {unknown}; expected keys are {expected}"
             )
+
+
+# ---------------------------------------------------------------------- #
+# Declared keys
+# ---------------------------------------------------------------------- #
+_KEY = "repro.config.key"
+
+
+@dataclass(frozen=True)
+class Key:
+    """How one spec key is read: the declaration :func:`key` attaches.
+
+    ``kind`` names the getter: ``str``, ``bool``, ``int``, ``float``,
+    ``str_list`` and ``float_list`` call :class:`Section`'s ``get_<kind>``
+    with ``default``, ``required`` and ``options`` (its bound, choice and
+    list keywords; ``choices`` may be a zero-argument callable, resolved at
+    read time).  ``table`` reads a nested table into the dataclass
+    ``table`` (or through the hand-written ``parse``, which receives the
+    table or ``None``): an absent table is ``None`` when ``default`` is
+    ``None`` and otherwise parses as an empty one.  ``tables`` reads an
+    array of tables into a tuple of ``table`` instances.
+
+    ``check(value, path)`` runs right after the key is read, for rules on
+    that key alone (a registry lookup, a parsable mix); ``kinds`` limits a
+    ``[[scenarios]]`` key to those scenario kinds; ``name`` is the spec key
+    when it differs from the field name.
+    """
+
+    kind: str
+    # MISSING ("no default") as a plain default would make the field required.
+    default: Any = field(default_factory=lambda: MISSING)
+    required: bool = False
+    options: Mapping[str, Any] = field(default_factory=dict)
+    table: Any = None
+    parse: Optional[Callable[[Optional[Section]], Any]] = None
+    check: Optional[Callable[[Any, str], Any]] = None
+    kinds: Optional[tuple[str, ...]] = None
+    name: Optional[str] = None
+
+
+def key(
+    kind: str,
+    default: Any = MISSING,
+    *,
+    required: bool = False,
+    table: Any = None,
+    parse: Optional[Callable[[Optional[Section]], Any]] = None,
+    check: Optional[Callable[[Any, str], Any]] = None,
+    kinds: Optional[tuple[str, ...]] = None,
+    name: Optional[str] = None,
+    **options: Any,
+) -> Any:
+    """A dataclass field declaring one spec key (see :class:`Key`).
+
+    ``default`` is both the field's default and the value an absent key
+    reads as; without one the field has no default and an absent optional
+    key reads as ``None``.
+    """
+    declared = Key(kind, default, required, options, table, parse, check, kinds, name)
+    return field(default=default, metadata={_KEY: declared})
+
+
+def declared_keys(cls: Any) -> list[tuple[str, str, Key]]:
+    """``(field name, spec key, declaration)`` of each declared key of
+    ``cls``, in field order."""
+    return [
+        (f.name, f.metadata[_KEY].name or f.name, f.metadata[_KEY])
+        for f in fields(cls)
+        if _KEY in f.metadata
+    ]
+
+
+def read_key(section: Section, name: str, declared: Key) -> Any:
+    """Read and validate one declared key of ``section``.
+
+    Lists come back as tuples, the form the spec dataclasses store.
+    """
+    if declared.kind == "table":
+        table = section.subsection(name, required=declared.required)
+        if declared.parse is not None:
+            value = declared.parse(table)
+        elif table is None and declared.default is None:
+            value = None
+        else:
+            if table is None:
+                table = Section({}, section.path(name))
+            value = parse_body(declared.table, table)
+    elif declared.kind == "tables":
+        value = tuple(
+            parse_body(declared.table, item)
+            for item in section.sections(name, required=declared.required)
+        )
+    else:
+        options = dict(declared.options)
+        if callable(options.get("choices")):
+            options["choices"] = options["choices"]()
+        default = None if declared.default is MISSING else declared.default
+        getter = getattr(section, f"get_{declared.kind}")
+        value = getter(name, default, required=declared.required, **options)
+        if isinstance(value, list):
+            value = tuple(value)
+    if declared.check is not None and value is not None:
+        declared.check(value, section.path(name))
+    return value
+
+
+def read_keys(cls: Any, section: Section) -> dict[str, Any]:
+    """Read every declared key of ``cls`` from ``section``, in field order,
+    then apply ``cls.cross_check(section, values)`` when it defines one.
+
+    A key declared with ``kinds`` is read only when the ``kind`` already
+    read is one of them.  The section is left open: :func:`parse_body`
+    finishes it, a caller sharing the table with other readers does so
+    itself.
+    """
+    values: dict[str, Any] = {}
+    for attr, name, declared in declared_keys(cls):
+        if declared.kinds is not None and values.get("kind") not in declared.kinds:
+            continue
+        values[attr] = read_key(section, name, declared)
+    cross_check = getattr(cls, "cross_check", None)
+    if cross_check is not None:
+        cross_check(section, values)
+    return values
+
+
+def parse_body(cls: Any, section: Section) -> Any:
+    """Parse one table into a ``cls`` instance, rejecting unknown keys."""
+    values = read_keys(cls, section)
+    section.finish()
+    return cls(**values)

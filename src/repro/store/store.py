@@ -6,7 +6,7 @@ Layout (``~/.cache/repro`` by default, relocatable via ``REPRO_STORE`` or
     <root>/
       v1/                     # store format version; a format change bumps it
         ab/                   # first two hex digits of the key (git-style fan-out)
-          ab3f…e2.json        # one entry: {"key", "created", "payload"}
+          ab3f…e2.json        # one entry: {"key", "payload"}
 
 Guarantees:
 
@@ -337,7 +337,7 @@ class ResultStore:
                 "content — this indicates a non-deterministic producer or a "
                 "key-derivation bug, not a cache eviction problem."
             )
-        entry = {"key": key, "created": time.time(), "payload": payload}  # reprolint: ignore[D002] — gc metadata only; never enters keys or payloads
+        entry = {"key": key, "payload": payload}
         text = json.dumps(entry, allow_nan=True, default=_json_default)  # reprolint: ignore[D004] — entry bytes are not content-addressed (key is the filename); readers parse, never diff
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

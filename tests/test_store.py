@@ -297,6 +297,26 @@ class TestResultStore:
         assert store.get(key_b) is None
         assert store.stats.corrupt == 1
 
+    def test_same_put_writes_identical_bytes_in_every_store(self, tmp_path):
+        key = self._key()
+        payload = {"v": 1.5, "nan": float("nan"), "rows": [1, 2, 3]}
+        path_a = ResultStore(tmp_path / "a").put(key, payload)
+        path_b = ResultStore(tmp_path / "b").put(key, payload)
+        assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_entry_with_created_timestamp_still_reads(self, tmp_path):
+        # Entries written before the timestamp was dropped carry "created".
+        store = ResultStore(tmp_path)
+        key = self._key()
+        path = store._entry_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps({"key": key, "created": 1700000000.0, "payload": {"v": 7}})
+            + "\n"
+        )
+        assert store.get(key) == {"v": 7}
+        assert store.stats.hits == 1 and store.stats.corrupt == 0
+
     def test_writes_leave_no_temp_files(self, tmp_path):
         store = ResultStore(tmp_path)
         for i in range(10):
