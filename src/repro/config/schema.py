@@ -24,9 +24,10 @@ with the list of keys that *would* have been accepted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Literal, Mapping, Optional, Sequence, overload
 
 from repro.utils.validation import ValidationError
 
@@ -201,26 +202,24 @@ class Section:
         """
         present = self._data.get(key) is not None
         value = self._take(key, default, required)
-        if value is None:
-            return None
         if not present:
-            return value
+            return default
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(
                 f"{self.path(key)} must be a number, got {value!r}"
             )
-        value = _as_float(value)
-        if value != value:
+        number = _as_float(value)
+        if number != number:
             raise SpecError(f"{self.path(key)} must not be NaN")
-        if not allow_inf and value in (float("inf"), float("-inf")):
-            raise SpecError(f"{self.path(key)} must be finite, got {value}")
-        if positive and value <= 0:
-            raise SpecError(f"{self.path(key)} must be > 0, got {value}")
-        if minimum is not None and value < minimum:
-            raise SpecError(f"{self.path(key)} must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise SpecError(f"{self.path(key)} must be <= {maximum}, got {value}")
-        return value
+        if not allow_inf and number in (float("inf"), float("-inf")):
+            raise SpecError(f"{self.path(key)} must be finite, got {number}")
+        if positive and number <= 0:
+            raise SpecError(f"{self.path(key)} must be > 0, got {number}")
+        if minimum is not None and number < minimum:
+            raise SpecError(f"{self.path(key)} must be >= {minimum}, got {number}")
+        if maximum is not None and number > maximum:
+            raise SpecError(f"{self.path(key)} must be <= {maximum}, got {number}")
+        return number
 
     def get_str_list(
         self,
@@ -323,6 +322,14 @@ class Section:
         return out
 
     # ------------------------------------------------------------------ #
+    @overload
+    def subsection(self, key: str, *, required: Literal[True]) -> "Section": ...
+
+    @overload
+    def subsection(
+        self, key: str, *, required: bool = ...
+    ) -> Optional["Section"]: ...
+
     def subsection(self, key: str, *, required: bool = False) -> Optional["Section"]:
         """A nested table, or ``None`` when absent and not required."""
         value = self._take(key, None, required)
@@ -368,14 +375,18 @@ class Key:
     list keywords; ``choices`` may be a zero-argument callable, resolved at
     read time).  ``table`` reads a nested table into the dataclass
     ``table`` (or through the hand-written ``parse``, which receives the
-    table or ``None``): an absent table is ``None`` when ``default`` is
-    ``None`` and otherwise parses as an empty one.  ``tables`` reads an
-    array of tables into a tuple of ``table`` instances.
+    table or ``None``).  For a table the walker only asks whether
+    ``default`` is ``None``: if so an absent table reads as ``None``,
+    otherwise (no default, or an instance kept as the dataclass default)
+    it parses as an empty table and the default value itself is never
+    read.  ``tables`` reads an array of tables into a tuple of ``table``
+    instances.
 
     ``check(value, path)`` runs right after the key is read, for rules on
     that key alone (a registry lookup, a parsable mix); ``kinds`` limits a
-    ``[[scenarios]]`` key to those scenario kinds; ``name`` is the spec key
-    when it differs from the field name.
+    ``[[scenarios]]`` key to those scenario kinds and needs a ``kind`` key
+    declared before it (:func:`declared_keys` enforces this); ``name`` is
+    the spec key when it differs from the field name.
     """
 
     kind: str
@@ -412,14 +423,28 @@ def key(
     return field(default=default, metadata={_KEY: declared})
 
 
-def declared_keys(cls: Any) -> list[tuple[str, str, Key]]:
+@functools.cache
+def declared_keys(cls: Any) -> tuple[tuple[str, str, Key], ...]:
     """``(field name, spec key, declaration)`` of each declared key of
-    ``cls``, in field order."""
-    return [
+    ``cls``, in field order (computed once per class).
+
+    Raises TypeError when a key declared with ``kinds`` precedes the
+    class's ``kind`` key: :func:`read_keys` selects such keys by the
+    ``kind`` already read.
+    """
+    declared = tuple(
         (f.name, f.metadata[_KEY].name or f.name, f.metadata[_KEY])
         for f in fields(cls)
         if _KEY in f.metadata
-    ]
+    )
+    attrs = [attr for attr, _, _ in declared]
+    for i, (attr, _, k) in enumerate(declared):
+        if k.kinds is not None and "kind" not in attrs[:i]:
+            raise TypeError(
+                f"{cls.__name__}.{attr} is declared with kinds= but no "
+                "'kind' key is declared before it"
+            )
+    return declared
 
 
 def read_key(section: Section, name: str, declared: Key) -> Any:

@@ -687,12 +687,13 @@ class ExperimentSpec:
     """A fully parsed experiment: common knobs plus a kind-specific body.
 
     The declared keys are the ``[experiment]`` table's; ``name`` defaults
-    to the ``name`` given to :func:`parse_spec` (the file stem).
+    to the ``name`` given to :func:`parse_spec` (the file stem).  ``body``
+    comes first: type checkers count every :func:`key` field as defaulted.
     """
 
+    body: ExperimentBody
     kind: str = key("str", required=True, choices=_experiment_kinds)
     name: str = key("str")
-    body: ExperimentBody
     seed: int = key("int", 0, minimum=0)
     workers: Optional[int] = key("int", None, minimum=0)
     max_time: float = key("float", math.inf, positive=True, allow_inf=True)

@@ -64,18 +64,30 @@ _SAMPLES: dict[tuple[str, str], tuple[Any, ...]] = {
     ("RandomWindowsSpec", "factor"): (0.0, 0.25),
 }
 
-#: Broken values for keys with a per-key check.
-_FAILING_CHECK: dict[str, Any] = {
-    "mix": "12/x",
-    "name": "NoSuchScheduler",
-    "names": ["NoSuchScheduler"],
-    "schedulers": ["NoSuchScheduler"],
-    "online": ["MinMax-1.5"],
-    "scenarios": ["999999"],
-    "path": "  ",
-    "factor": 1.0,
-    "epsilon": 1e-300,
+#: A value that fails each key's per-key check, by (table, field).  Every
+#: declared ``check`` needs one (``test_every_check_has_a_failing_value``).
+_FAILING_CHECK: dict[tuple[str, str], Any] = {
+    ("ScenarioEntry", "mix"): "12/x",
+    ("SchedulerCaseSpec", "name"): "NoSuchScheduler",
+    ("schedulers", "names"): ["NoSuchScheduler"],
+    ("Figure6Spec", "schedulers"): ["NoSuchScheduler"],
+    ("CongestedMomentsSpec", "schedulers"): ["NoSuchScheduler"],
+    ("Figure7Spec", "schedulers"): ["NoSuchScheduler"],
+    ("PeriodicSpec", "online"): ["MinMax-1.5"],
+    ("PeriodicSpec", "apps"): [
+        {"name": "a", "processors": 1, "work": 1.0, "io_volume": 1.0, "release": 1.0}
+    ],
+    ("VestaSpec", "scenarios"): ["999999"],
+    ("OutputSpec", "path"): "  ",
+    ("FaultWindowSpec", "factor"): 1.0,
+    ("RandomWindowsSpec", "factor"): 1.0,
+    ("PeriodicSpec", "epsilon"): 1e-300,
 }
+
+#: Checks whose message carries no spec path, so the path property cannot
+#: test them; the golden error corpus pins their text.  A grid's keys sit
+#: at the spec root, so its ``[[scenarios]]`` is ("root", "scenarios").
+_UNPATHED_CHECKS: set[tuple[str, str]] = {("root", "scenarios")}
 
 _FLOAT_INT_CAP = 2**53
 
@@ -283,15 +295,15 @@ def valid_specs(draw: Callable[..., Any]) -> dict[str, Any]:
 # ---------------------------------------------------------------------- #
 def _sites(
     owner: Owner, table: dict[str, Any], path: str
-) -> list[tuple[str, dict[str, Any], str, Key]]:
+) -> list[tuple[str, dict[str, Any], str, Key, tuple[str, str]]]:
     """Every declared key of every table present in the spec:
-    ``(spec path, containing table, key, declaration)``."""
+    ``(spec path, containing table, key, declaration, (table, field))``."""
     sites = []
-    for _, name, k in _entries(owner):
+    for attr, name, k in _entries(owner):
         if not _applies(k, table):
             continue
         key_path = f"{path}.{name}" if path else name
-        sites.append((key_path, table, name, k))
+        sites.append((key_path, table, name, k, (_owner_name(owner), attr)))
         value = table.get(name)
         if k.kind == "table" and isinstance(value, dict):
             sites += _sites(_nested(k), value, key_path)
@@ -301,17 +313,17 @@ def _sites(
     return sites
 
 
-def _broken(k: Key, name: str, current: Any) -> list[Any]:
-    """Values that must make ``k`` fail on its own."""
+def _broken(k: Key, where: tuple[str, str], current: Any) -> list[Any]:
+    """Values that must make ``k``, field ``where``, fail on its own."""
     options = k.options
     lo, hi = options.get("minimum"), options.get("maximum")
     out: list[Any] = [{"x": 1}]
     if k.kind == "table":
         return [3, "x", [1]]
     if k.kind == "tables":
-        return [3, "x", {"a": 1}]
-    if k.check is not None and name in _FAILING_CHECK:
-        out.append(_FAILING_CHECK[name])
+        out = [3, "x", {"a": 1}]
+    if where in _FAILING_CHECK:
+        out.append(_FAILING_CHECK[where])
     if k.kind == "str":
         out += [7, ["x"]]
         if _choices(k) is not None:
@@ -372,9 +384,9 @@ def test_declared_bodies_parse(spec: dict[str, Any]) -> None:
 @settings(_SETTINGS, max_examples=100)
 @given(valid_specs())
 def test_each_broken_key_is_reported_at_its_path(spec: dict[str, Any]) -> None:
-    for path, table, name, k in _sites(_root_keys(spec["experiment"]["kind"]), spec, ""):
+    for path, table, name, k, where in _sites(_root_keys(spec["experiment"]["kind"]), spec, ""):
         had, original = name in table, table.get(name)
-        for value in _broken(k, name, original):
+        for value in _broken(k, where, original):
             table[name] = value
             with pytest.raises(SpecError) as excinfo:
                 parse_spec(spec)
@@ -383,3 +395,27 @@ def test_each_broken_key_is_reported_at_its_path(spec: dict[str, Any]) -> None:
             table[name] = original
         else:
             del table[name]
+
+
+def _checked_keys() -> set[tuple[str, str]]:
+    """(table, field) of every declared key with a per-key check, over the
+    tables reachable from every experiment kind's root."""
+    checked: set[tuple[str, str]] = set()
+    seen: set[str] = set()
+    todo: list[Owner] = [_root_keys(kind) for kind in EXPERIMENT_KINDS]
+    while todo:
+        owner = todo.pop()
+        for attr, _, k in _entries(owner):
+            if k.check is not None:
+                checked.add((_owner_name(owner), attr))
+            if k.kind in ("table", "tables"):
+                nested = _nested(k)
+                if _owner_name(nested) not in seen:
+                    seen.add(_owner_name(nested))
+                    todo.append(nested)
+    return checked
+
+
+def test_every_check_has_a_failing_value() -> None:
+    # A new per-key check fails here until _FAILING_CHECK breaks it.
+    assert _checked_keys() == set(_FAILING_CHECK) | _UNPATHED_CHECKS
