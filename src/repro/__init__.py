@@ -17,6 +17,9 @@ The package provides:
 * :mod:`repro.cli` — the ``repro`` console script (``repro run <spec>``,
   ``repro validate``, ``repro quickstart``, ``repro bench``, ``repro list``).
 
+Each subpackage, and each public name of a subpackage, is imported on first
+use (:mod:`repro._lazy`): ``import repro`` loads none of them.
+
 Quickstart::
 
     from repro import core, online, simulator
@@ -31,7 +34,13 @@ Quickstart::
     print(result.summary())
 """
 
-from repro import analysis, config, core, experiments, online, periodic, simulator, workload
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro import analysis, config, core, experiments, online, periodic, simulator, workload
+
 
 __version__ = "1.0.0"
 
@@ -46,3 +55,5 @@ __all__ = [
     "config",
     "__version__",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -8,19 +8,25 @@
   perfect periodicity.
 """
 
-from repro.analysis.sensitivity import (
-    FIGURE7_SCHEDULERS,
-    SensitivityPoint,
-    SensitivityStudy,
-    sensitivity_study,
-)
-from repro.analysis.throughput import ThroughputDecreaseStudy, throughput_decrease_study
-from repro.analysis.usage import (
-    UsageByCategory,
-    characterize,
-    daily_usage,
-    io_time_percentage,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.analysis.sensitivity import (
+        FIGURE7_SCHEDULERS,
+        SensitivityPoint,
+        SensitivityStudy,
+        sensitivity_study,
+    )
+    from repro.analysis.throughput import ThroughputDecreaseStudy, throughput_decrease_study
+    from repro.analysis.usage import (
+        UsageByCategory,
+        characterize,
+        daily_usage,
+        io_time_percentage,
+    )
+
 
 __all__ = [
     "ThroughputDecreaseStudy",
@@ -34,3 +40,5 @@ __all__ = [
     "sensitivity_study",
     "FIGURE7_SCHEDULERS",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.evaluation import FIGURE7_SCHEDULERS
 from repro.core.platform import Platform, intrepid
 from repro.core.scenario import Scenario
 from repro.experiments.runner import ExperimentExecutor, SchedulerCase, run_grid
@@ -30,9 +31,6 @@ __all__ = [
     "sensitivity_study",
     "derive_streams",
 ]
-
-#: The heuristics plotted in Figure 7.
-FIGURE7_SCHEDULERS: tuple[str, ...] = ("MinDilation", "MaxSysEff", "MinMax-0.5")
 
 #: Process-wide telemetry funnel; status events go through it.
 _OBS = _obs_recorder()

@@ -26,31 +26,37 @@ across hosts — surviving every failure mode short of losing the journal:
 ``docs/distributed.md`` for the full protocol walk-through.
 """
 
-from repro.campaign.coordinator import (
-    CampaignCoordinator,
-    campaign_status,
-    resume_campaign,
-    run_campaign,
-)
-from repro.campaign.journal import (
-    CampaignJournal,
-    JournalState,
-    read_journal,
-    replay_journal,
-)
-from repro.campaign.mailbox import MailboxReader, MailboxWriter
-from repro.campaign.model import (
-    CampaignConfig,
-    CampaignResult,
-    QuarantinedCell,
-    backoff_seconds,
-)
-from repro.campaign.plan import (
-    CampaignCell,
-    CampaignPlan,
-    campaign_id_for,
-    plan_campaign,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.campaign.coordinator import (
+        CampaignCoordinator,
+        campaign_status,
+        resume_campaign,
+        run_campaign,
+    )
+    from repro.campaign.journal import (
+        CampaignJournal,
+        JournalState,
+        read_journal,
+        replay_journal,
+    )
+    from repro.campaign.mailbox import MailboxReader, MailboxWriter
+    from repro.campaign.model import (
+        CampaignConfig,
+        CampaignResult,
+        QuarantinedCell,
+        backoff_seconds,
+    )
+    from repro.campaign.plan import (
+        CampaignCell,
+        CampaignPlan,
+        campaign_id_for,
+        plan_campaign,
+    )
+
 
 __all__ = [
     "CampaignCell",
@@ -72,3 +78,5 @@ __all__ = [
     "resume_campaign",
     "run_campaign",
 ]
+
+__getattr__, __dir__ = attach(__name__)

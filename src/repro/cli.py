@@ -43,21 +43,19 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro import __version__
-from repro.config import (
-    KINDS,
-    SpecError,
-    load_spec,
-    load_spec_data,
-    parse_spec,
-    run_spec,
-    write_result,
-)
+from repro.config.schema import SpecError
 from repro.obs.telemetry import recorder
-from repro.store import ResultStore
 from repro.utils.validation import ValidationError
+
+if TYPE_CHECKING:
+    from repro.store import ResultStore
+
+# Each subcommand imports the specs, runners and stores it uses, so
+# `repro --help` and `repro --version` load neither numpy nor the
+# simulator.
 
 __all__ = ["main", "build_parser"]
 
@@ -694,6 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------- #
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.config import load_spec, run_spec, write_result
+
     spec = load_spec(args.spec)
     if args.format is not None and args.out is None and spec.output is None:
         raise SpecError(
@@ -758,7 +758,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         resume_campaign,
         run_campaign,
     )
+    from repro.config import load_spec_data, parse_spec, run_spec
     from repro.experiments.runner import resolve_workers
+    from repro.store import ResultStore
 
     if args.campaign_command == "status":
         status = campaign_status(args.campaign_dir)
@@ -870,6 +872,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
     """The result store selected by ``--cache``/``--no-cache``/``--store``."""
+    from repro.store import ResultStore
+
     if not args.cache:
         if args.store is not None:
             raise SpecError("--store has no effect with --no-cache")
@@ -909,6 +913,8 @@ def _collect_spec_paths(args: argparse.Namespace) -> list[str]:
 
 
 def _validate_one(spec_path: str):
+    from repro.config import KINDS, load_spec
+
     spec = load_spec(spec_path)  # its errors already name the file
     # Parsing alone misses the kind's deterministic build-time checks; run
     # them too, so exit 0 really means "repro run will accept this spec".
@@ -965,6 +971,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
+    from repro.store import ResultStore
+
     store = ResultStore(args.store)
     if args.store_command == "info":
         info = store.info()
@@ -1006,6 +1014,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
+    from repro.config import parse_spec, run_spec
+
     # Built as a plain dict and pushed through parse_spec/run_spec: the demo
     # exercises exactly the code path a spec file takes.
     data = {
@@ -1082,10 +1092,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 f"instances/job"
             )
     elif args.what == "experiments":
+        from repro.config import KINDS
+
         print("Experiment kinds accepted by [experiment].kind:")
         for name, kind in KINDS.items():
             print(f"  {name:<18} {kind.description}")
     else:
+        from repro.config import load_spec
+
         specs_dir = Path(args.specs_dir)
         if not specs_dir.is_dir() and args.specs_dir == str(DEFAULT_SPECS_DIR):
             # The default is CWD-relative for checkout users; from anywhere

@@ -29,46 +29,52 @@ Quickstart::
 See ``docs/scenarios.md`` for the full key reference.
 """
 
-from repro.config.build import (
-    build_burst_buffer_platform,
-    build_cases,
-    build_entry_scenarios,
-    build_grid_scenarios,
-    build_periodic_setup,
-    build_platform,
-)
-from repro.config.kinds import EXPERIMENT_KINDS, KINDS, Kind
-from repro.config.loader import load_spec, load_spec_data, parse_spec_text
-from repro.config.run import SpecRunResult, run_spec, write_result
-from repro.config.schema import Section, SpecError
-from repro.config.spec import (
-    ANALYSIS_FIGURES,
-    PERIODIC_HEURISTICS,
-    SCENARIO_KINDS,
-    AnalysisSpec,
-    AppSpec,
-    BurstBufferTable,
-    CongestedMomentsSpec,
-    CrashSpec,
-    ExperimentSpec,
-    FaultsSpec,
-    FaultWindowSpec,
-    Figure1Spec,
-    Figure5Spec,
-    Figure6Spec,
-    Figure7Spec,
-    GridSpec,
-    OutputSpec,
-    PeriodicSpec,
-    PlatformSpec,
-    RandomCrashesSpec,
-    RandomWindowsSpec,
-    ScenarioEntry,
-    SchedulerCaseSpec,
-    VestaSpec,
-    check_scheduler_name,
-    parse_spec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.config.build import (
+        build_burst_buffer_platform,
+        build_cases,
+        build_entry_scenarios,
+        build_grid_scenarios,
+        build_periodic_setup,
+        build_platform,
+    )
+    from repro.config.kinds import EXPERIMENT_KINDS, KINDS, Kind
+    from repro.config.loader import load_spec, load_spec_data, parse_spec_text
+    from repro.config.run import SpecRunResult, run_spec, write_result
+    from repro.config.schema import Section, SpecError
+    from repro.config.spec import (
+        ANALYSIS_FIGURES,
+        PERIODIC_HEURISTICS,
+        SCENARIO_KINDS,
+        AnalysisSpec,
+        AppSpec,
+        BurstBufferTable,
+        CongestedMomentsSpec,
+        CrashSpec,
+        ExperimentSpec,
+        FaultsSpec,
+        FaultWindowSpec,
+        Figure1Spec,
+        Figure5Spec,
+        Figure6Spec,
+        Figure7Spec,
+        GridSpec,
+        OutputSpec,
+        PeriodicSpec,
+        PlatformSpec,
+        RandomCrashesSpec,
+        RandomWindowsSpec,
+        ScenarioEntry,
+        SchedulerCaseSpec,
+        VestaSpec,
+        check_scheduler_name,
+        parse_spec,
+    )
+
 
 __all__ = [
     "SpecError",
@@ -115,3 +121,5 @@ __all__ = [
     "run_spec",
     "write_result",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.sensitivity import derive_streams
-from repro.analysis.throughput import figure1_batch_count, figure1_batch_mix
 from repro.config.schema import SpecError
 from repro.config.spec import (
     ANALYSIS_FIGURES,
@@ -40,7 +38,6 @@ from repro.faults import (
     sample_crashes,
     sample_windows,
 )
-from repro.periodic.period_search import minimum_period
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import ValidationError
 from repro.workload.congested import CongestedMomentSpec, generate_congested_moment
@@ -379,6 +376,8 @@ def build_periodic_setup(
         )
         applications = list(scenario.applications)
     if body.max_period is not None:
+        from repro.periodic.period_search import minimum_period
+
         t_min = minimum_period(platform, applications)
         if body.max_period < t_min:
             raise SpecError(
@@ -433,6 +432,9 @@ def check_analysis_setup(body: AnalysisSpec, seed: int) -> None:
     ``[analysis.platform]`` machine, the way :func:`check_figure6_setup`
     checks Figure 6 panels.
     """
+    from repro.analysis.sensitivity import derive_streams
+    from repro.analysis.throughput import figure1_batch_count, figure1_batch_mix
+
     platform = build_platform(body.platform)
     slots = analysis_seed_slots(seed)
     f1, f7 = body.figure1, body.figure7

@@ -7,6 +7,8 @@ benchmark.  The body dataclasses, whose fields declare the keys, stay in
 :mod:`repro.config.spec` and the runners in :mod:`repro.config.run`:
 ``perfbench``'s tracer times each layer by patching the harness names on
 :mod:`repro.config.run`, so the runners must keep calling them there.
+Those of another kind's producers are lazily resolved names there, which
+a kind's ``imports`` bind when its spec is parsed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Callable, Mapping, Optional
 
 import repro.config.build as builders
 import repro.config.run as runners
-from repro.analysis.throughput import figure1_batch_count
 from repro.config.schema import Key, Section, SpecError, read_key, read_keys
 from repro.config.spec import (
     AnalysisSpec,
@@ -49,7 +50,11 @@ class Kind:
       records and text tables;
     * ``deepen(body, scale)`` and ``cells(body, payload)`` serve the spec
       benchmark: a ``scale``-times deeper body, and the independent work
-      units a run's payload represents.
+      units a run's payload represents;
+    * ``imports`` names the lazily resolved producers of
+      :mod:`repro.config.run` that only this kind's runner calls;
+      :meth:`load` binds them (importing their modules) when a spec of the
+      kind is parsed, so running it imports nothing new.
     """
 
     description: str
@@ -61,6 +66,12 @@ class Kind:
     cells: Callable[[ExperimentBody, Mapping], int] = (
         lambda body, payload: max(1, len(payload.get("cells", ())))
     )
+    imports: tuple[str, ...] = ()
+
+    def load(self) -> None:
+        """Import this kind's producers into :mod:`repro.config.run`."""
+        for name in self.imports:
+            getattr(runners, name)
 
     def refuse_horizon(self, body: ExperimentBody, max_time: float) -> None:
         """Raise :class:`SpecError` when the kind refuses ``max_time``."""
@@ -136,6 +147,8 @@ def _deepen_analysis(body, scale: int):
 
 def _analysis_cells(body, payload: Mapping) -> int:
     # Figure 1 batches, one characterization, Figure 7 simulations.
+    from repro.analysis.throughput import figure1_batch_count
+
     figures = payload.get("figures", {})
     f1, f7 = body.figure1, body.figure7
     cells = 0
@@ -162,11 +175,13 @@ KINDS: dict[str, Kind] = {
         parse=_body_table("figure6", Figure6Spec),
         run=runners._run_figure6_spec,
         check=lambda spec: builders.check_figure6_setup(spec.body, spec.seed),
+        imports=("figure6_experiment",),
     ),
     "congested-moments": Kind(
         description="Intrepid/Mira congested-moment campaigns (Tables 1-2, Figures 8-13)",
         parse=_body_table("congested-moments", CongestedMomentsSpec),
         run=runners._run_congested_spec,
+        imports=("congested_moments_experiment",),
     ),
     "vesta": Kind(
         description="Vesta / modified-IOR emulation (Figures 14-16)",
@@ -175,6 +190,7 @@ KINDS: dict[str, Kind] = {
         # score_with_overhead rebuilds each outcome from the complete original
         # parameters, so a truncated cell would score misleadingly.
         horizon=_complete_runs_only("vesta", "cells are overhead-scored on complete runs"),
+        imports=("vesta_experiment",),
     ),
     "periodic": Kind(
         description="Section 3.2 periodic heuristics + (1+eps) period sweep, "
@@ -190,6 +206,7 @@ KINDS: dict[str, Kind] = {
         # A finer sweep: more greedy builds.
         deepen=lambda body, scale: dataclasses.replace(body, epsilon=body.epsilon / scale),
         cells=_periodic_cells,
+        imports=("search_period", "PERIODIC_HEURISTIC_TABLE"),
     ),
     "analysis": Kind(
         description="figure-level studies: throughput decrease (Fig 1), workload "
@@ -199,6 +216,10 @@ KINDS: dict[str, Kind] = {
         check=lambda spec: builders.check_analysis_setup(spec.body, spec.seed),
         deepen=_deepen_analysis,
         cells=_analysis_cells,
+        imports=(
+            "throughput_decrease_study", "characterize", "generate_records",
+            "sensitivity_study",
+        ),
     ),
 }
 

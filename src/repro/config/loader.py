@@ -10,7 +10,6 @@ self-documenting.
 from __future__ import annotations
 
 import json
-import tomllib
 from pathlib import Path
 from typing import Union
 
@@ -23,6 +22,8 @@ __all__ = ["load_spec", "load_spec_data", "parse_spec_text"]
 def _parse_data(text: str, *, format: str) -> dict:
     """The raw nested mapping of spec source text (pre-validation)."""
     if format == "toml":
+        import tomllib
+
         try:
             return tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:
@@ -83,24 +84,8 @@ def load_spec(path: Union[str, Path]) -> ExperimentSpec:
     schema validation — always with a message naming the file.
     """
     path = Path(path)
-    if not path.exists():
-        raise SpecError(f"spec file not found: {path}")
-    suffix = path.suffix.lower()
-    if suffix == ".toml":
-        format = "toml"
-    elif suffix == ".json":
-        format = "json"
-    else:
-        raise SpecError(
-            f"unsupported spec extension {suffix!r} for {path}; use .toml or .json"
-        )
+    data = load_spec_data(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SpecError(f"{path}: not valid UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise SpecError(f"{path}: cannot read spec file ({exc})") from exc
-    try:
-        return parse_spec_text(text, format=format, name=path.stem)
+        return parse_spec(data, name=path.stem)
     except SpecError as exc:
         raise SpecError(f"{path}: {exc}") from exc

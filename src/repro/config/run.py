@@ -15,17 +15,21 @@ or the :mod:`repro.analysis` studies for ``analysis`` specs) and returns a
   averages), the round-trip artefact a spec fully determines;
 * ``records`` — flat per-cell rows for CSV;
 * ``text`` — the aligned plain-text tables printed to the terminal.
+
+The producers only some kinds run are lazily resolved names of this module
+(the ``TYPE_CHECKING`` block below, :mod:`repro._lazy`): each
+:data:`~repro.config.kinds.KINDS` entry binds the ones its runner calls
+when a spec of that kind is parsed, so a grid run never loads the analysis
+or Vesta code, and a run imports nothing its parse did not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.analysis.sensitivity import sensitivity_study
-from repro.analysis.throughput import throughput_decrease_study
-from repro.analysis.usage import characterize
+from repro._lazy import attach
 from repro.config.build import (
     analysis_seed_slots,
     build_cases,
@@ -35,7 +39,6 @@ from repro.config.build import (
 )
 from repro.config.schema import SpecError
 from repro.config.spec import (
-    PERIODIC_HEURISTIC_TABLE,
     AnalysisSpec,
     CongestedMomentsSpec,
     ExperimentSpec,
@@ -45,10 +48,6 @@ from repro.config.spec import (
     VestaSpec,
 )
 from repro.core.scenario import Scenario
-from repro.experiments.comparison import (
-    congested_moments_experiment,
-    figure6_experiment,
-)
 from repro.experiments.reporting import (
     format_table,
     grid_records,
@@ -59,9 +58,7 @@ from repro.experiments.reporting import (
     write_json,
 )
 from repro.experiments.runner import ExperimentExecutor, SchedulerCase, run_grid
-from repro.experiments.vesta import vesta_experiment
 from repro.obs.telemetry import recorder as _obs_recorder
-from repro.periodic.period_search import search_period
 from repro.store import (
     ResultStore,
     StoreStats,
@@ -69,9 +66,23 @@ from repro.store import (
     code_fingerprint,
     digest,
 )
-from repro.workload.darshan import generate_records
+
+if TYPE_CHECKING:
+    from repro.analysis.sensitivity import sensitivity_study
+    from repro.analysis.throughput import throughput_decrease_study
+    from repro.analysis.usage import characterize
+    from repro.experiments.comparison import (
+        congested_moments_experiment,
+        figure6_experiment,
+    )
+    from repro.experiments.vesta import vesta_experiment
+    from repro.periodic.heuristics import PERIODIC_HEURISTIC_TABLE
+    from repro.periodic.period_search import search_period
+    from repro.workload.darshan import generate_records
 
 __all__ = ["SpecRunResult", "run_spec", "write_result"]
+
+__getattr__, __dir__ = attach(__name__)
 
 #: Process-wide telemetry funnel.  The ``build`` / ``run`` / ``report``
 #: stage markers below are what ``--trace`` renders as top-level lanes,
@@ -786,6 +797,8 @@ def run_spec(
     kind = KINDS[spec.kind]
     # Re-checked here: a CLI --max-time override lands after parsing.
     kind.refuse_horizon(spec.body, spec.max_time)
+    # A no-op after parse_spec; a spec built some other way loads here.
+    kind.load()
     # Snapshot the handle's counters so store_stats describes *this* run
     # even when one store serves a whole fleet of specs (repro report).
     stats_before = replace(store.stats) if store is not None else None

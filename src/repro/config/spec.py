@@ -49,18 +49,18 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.analysis.sensitivity import FIGURE7_SCHEDULERS
 from repro.config.schema import Key, Section, SpecError, key, read_key, read_keys
-from repro.core.platform import vesta as vesta_platform
-from repro.experiments.comparison import (
+from repro.core.evaluation import (
     FIGURE6_SCENARIOS,
     FIGURE6_SCHEDULERS,
+    FIGURE7_SCHEDULERS,
     TABLE_SCHEDULERS,
+    VESTA_CONFIGURATIONS,
+    VESTA_SCENARIOS,
 )
-from repro.experiments.vesta import VESTA_CONFIGURATIONS
+from repro.core.platform import vesta as vesta_platform
 from repro.online.registry import make_scheduler
-from repro.periodic.heuristics import InsertInScheduleCong, InsertInScheduleThrou
-from repro.workload.ior import VESTA_SCENARIOS, parse_scenario
+from repro.workload.ior import parse_scenario
 
 __all__ = [
     "SpecError",
@@ -92,17 +92,10 @@ __all__ = [
     "parse_spec",
 ]
 
-#: Section 3.2.3 heuristics accepted by ``[periodic].heuristics``: name ->
-#: (heuristic class, period-sweep objective).  Single source of truth — the
-#: parser validates against its keys and the runner instantiates from it,
-#: so a new heuristic cannot pass ``repro validate`` yet crash ``repro run``.
-PERIODIC_HEURISTIC_TABLE: dict[str, tuple[type[object], str]] = {
-    "throughput": (InsertInScheduleThrou, "system_efficiency"),
-    "congestion": (InsertInScheduleCong, "dilation"),
-}
-
-#: The accepted ``[periodic].heuristics`` names, in canonical order.
-PERIODIC_HEURISTICS: tuple[str, ...] = tuple(PERIODIC_HEURISTIC_TABLE)
+#: The accepted ``[periodic].heuristics`` names, in canonical order: the
+#: keys of :data:`repro.periodic.heuristics.PERIODIC_HEURISTIC_TABLE`, from
+#: which the runner instantiates them (a test pins the two together).
+PERIODIC_HEURISTICS: tuple[str, ...] = ("throughput", "congestion")
 
 #: Figure studies accepted by ``[analysis].figures``, in the fixed seed-slot
 #: order of the determinism contract.
@@ -756,4 +749,5 @@ def parse_spec(data: Mapping[str, object], *, name: str = "experiment") -> Exper
     kind_entry.refuse_horizon(body, head["max_time"])
     output = read_key(root, "output", OUTPUT_KEY)
     root.finish()
+    kind_entry.load()
     return ExperimentSpec(body=body, output=output, **head)

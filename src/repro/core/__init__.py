@@ -15,23 +15,29 @@ only the Section 2 framework that everything else is written against:
 * :class:`~repro.core.scenario.Scenario` — platform + applications bundle.
 """
 
-from repro.core.allocation import BandwidthAllocation
-from repro.core.application import Application, Instance, total_processors
-from repro.core.events import Event, EventLog, EventType
-from repro.core.objectives import (
-    ApplicationOutcome,
-    ObjectiveSummary,
-    achieved_efficiency,
-    application_dilation,
-    max_dilation,
-    mean_dilation,
-    optimal_efficiency,
-    summarize,
-    system_efficiency,
-    system_efficiency_upper_limit,
-)
-from repro.core.platform import BurstBufferSpec, Platform, generic, intrepid, mira, vesta
-from repro.core.scenario import Scenario
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.core.allocation import BandwidthAllocation
+    from repro.core.application import Application, Instance, total_processors
+    from repro.core.events import Event, EventLog, EventType
+    from repro.core.objectives import (
+        ApplicationOutcome,
+        ObjectiveSummary,
+        achieved_efficiency,
+        application_dilation,
+        max_dilation,
+        mean_dilation,
+        optimal_efficiency,
+        summarize,
+        system_efficiency,
+        system_efficiency_upper_limit,
+    )
+    from repro.core.platform import BurstBufferSpec, Platform, generic, intrepid, mira, vesta
+    from repro.core.scenario import Scenario
+
 
 __all__ = [
     "Application",
@@ -59,3 +65,5 @@ __all__ = [
     "summarize",
     "Scenario",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -10,50 +10,56 @@
 * :mod:`repro.experiments.reporting` — plain-text tables and series.
 """
 
-from repro.experiments.comparison import (
-    FIGURE6_SCENARIOS,
-    FIGURE6_SCHEDULERS,
-    TABLE_SCHEDULERS,
-    CongestedMomentsResult,
-    Figure6Result,
-    HeuristicAverages,
-    congested_moments_experiment,
-    figure6_experiment,
-)
-from repro.experiments.overhead import (
-    DEFAULT_OVERHEAD,
-    OverheadModel,
-    scenario_overhead_fractions,
-)
-from repro.experiments.reporting import (
-    format_mapping,
-    format_series,
-    format_table,
-    grid_records,
-    percent,
-    ratio,
-    write_csv,
-    write_json,
-)
-from repro.experiments.runner import (
-    CaseResult,
-    ExperimentGrid,
-    SchedulerCase,
-    map_parallel,
-    resolve_workers,
-    run_case,
-    run_grid,
-)
-from repro.experiments.vesta import (
-    VESTA_CONFIGURATIONS,
-    VestaCase,
-    VestaExperimentResult,
-    figure14_overheads,
-    figure16_per_application_dilation,
-    run_vesta_case,
-    score_with_overhead,
-    vesta_experiment,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.experiments.comparison import (
+        FIGURE6_SCENARIOS,
+        FIGURE6_SCHEDULERS,
+        TABLE_SCHEDULERS,
+        CongestedMomentsResult,
+        Figure6Result,
+        HeuristicAverages,
+        congested_moments_experiment,
+        figure6_experiment,
+    )
+    from repro.experiments.overhead import (
+        DEFAULT_OVERHEAD,
+        OverheadModel,
+        scenario_overhead_fractions,
+    )
+    from repro.experiments.reporting import (
+        format_mapping,
+        format_series,
+        format_table,
+        grid_records,
+        percent,
+        ratio,
+        write_csv,
+        write_json,
+    )
+    from repro.experiments.runner import (
+        CaseResult,
+        ExperimentGrid,
+        SchedulerCase,
+        map_parallel,
+        resolve_workers,
+        run_case,
+        run_grid,
+    )
+    from repro.experiments.vesta import (
+        VESTA_CONFIGURATIONS,
+        VestaCase,
+        VestaExperimentResult,
+        figure14_overheads,
+        figure16_per_application_dilation,
+        run_vesta_case,
+        score_with_overhead,
+        vesta_experiment,
+    )
+
 
 __all__ = [
     "SchedulerCase",
@@ -91,3 +97,5 @@ __all__ = [
     "write_json",
     "write_csv",
 ]
+
+__getattr__, __dir__ = attach(__name__)

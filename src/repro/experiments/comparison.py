@@ -18,6 +18,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
+from repro.core.evaluation import FIGURE6_SCENARIOS, FIGURE6_SCHEDULERS, TABLE_SCHEDULERS
 from repro.core.platform import Platform, intrepid, mira
 from repro.experiments.runner import (
     ExperimentExecutor,
@@ -43,40 +44,6 @@ __all__ = [
     "congested_moments_experiment",
     "TABLE_SCHEDULERS",
 ]
-
-#: The three panels of Figure 6.
-FIGURE6_SCENARIOS: tuple[str, ...] = (
-    "10large-20",
-    "50small5large-20",
-    "50small5large-35",
-)
-
-#: The eight series of Figure 6 (four heuristics, plain and Priority).
-FIGURE6_SCHEDULERS: tuple[str, ...] = (
-    "RoundRobin",
-    "Priority-RoundRobin",
-    "MinDilation",
-    "Priority-MinDilation",
-    "MaxSysEff",
-    "Priority-MaxSysEff",
-    "MinMax-0.5",
-    "Priority-MinMax-0.5",
-)
-
-#: The scheduler rows of Tables 1 and 2 (plus their Priority variants).
-TABLE_SCHEDULERS: tuple[str, ...] = (
-    "MaxSysEff",
-    "Priority-MaxSysEff",
-    "MinMax-0.25",
-    "Priority-MinMax-0.25",
-    "MinMax-0.5",
-    "Priority-MinMax-0.5",
-    "MinMax-0.75",
-    "Priority-MinMax-0.75",
-    "MinDilation",
-    "Priority-MinDilation",
-)
-
 
 @dataclass(frozen=True)
 class HeuristicAverages:

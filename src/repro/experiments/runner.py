@@ -42,10 +42,8 @@ cached grid is cell-for-cell (and byte-for-byte) identical to a cold one.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -65,6 +63,11 @@ from repro.store import (
     digest_grid,
 )
 from repro.utils.validation import ValidationError
+
+if TYPE_CHECKING:
+    # The pool machinery (concurrent.futures, multiprocessing) is imported
+    # when a pool starts: a serial run never loads it.
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "SchedulerCase",
@@ -156,6 +159,9 @@ def _submit_or_broken(
     Funnelling both through the future keeps recovery in one place — the
     drain loop's per-chunk retry.
     """
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return pool.submit(fn, *args)
     except BrokenProcessPool as exc:
@@ -304,6 +310,8 @@ class ExperimentExecutor:
         if self._closed:
             raise ValidationError("ExperimentExecutor is closed")
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self._n_workers)
         return self._pool
 
@@ -428,6 +436,8 @@ class ExperimentExecutor:
         _OBS.count("repro_executor_dispatched_items_total", n)
         base, extra = divmod(n, n_chunks)
         pool = self._ensure_pool()
+        from concurrent.futures.process import BrokenProcessPool
+
         futures = []
         start = 0
         for i in range(n_chunks):
@@ -492,6 +502,8 @@ class ExperimentExecutor:
         to yet another fresh pool.  Results are returned in chunk order —
         identical to what the original chunk would have produced.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         results: list[_R] = []
         pending = list(chunk)
         while pending:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.core.evaluation import VESTA_CONFIGURATIONS, VESTA_SCENARIOS
 from repro.core.objectives import (
     ApplicationOutcome,
     ObjectiveSummary,
@@ -55,7 +56,7 @@ from repro.simulator.metrics import SimulationResult
 from repro.store import ResultStore, canonical_json, code_fingerprint, digest
 from repro.utils.rng import RngLike
 from repro.utils.validation import ValidationError
-from repro.workload.ior import VESTA_SCENARIOS, ior_scenario
+from repro.workload.ior import ior_scenario
 
 __all__ = [
     "VESTA_CONFIGURATIONS",
@@ -67,16 +68,6 @@ __all__ = [
     "figure14_overheads",
     "figure16_per_application_dilation",
 ]
-
-#: The six configurations of Figure 15 (three schedulers × burst buffers off/on).
-VESTA_CONFIGURATIONS: tuple[str, ...] = (
-    "IOR",
-    "MaxSysEff",
-    "MinDilation",
-    "BBIOR",
-    "BBMaxSysEff",
-    "BBMinDilation",
-)
 
 #: The Section 5 heuristics are the Priority variants (Vesta uses disks).
 _HEURISTIC_NAMES = {

@@ -5,13 +5,19 @@ See :mod:`repro.faults.model` for the fault vocabulary and
 ``docs/faults.md`` documents the semantics and the determinism contract.
 """
 
-from repro.faults.model import (
-    BandwidthWindow,
-    CrashEvent,
-    FaultModel,
-    FaultTimeline,
-)
-from repro.faults.sampling import sample_crashes, sample_windows
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.faults.model import (
+        BandwidthWindow,
+        CrashEvent,
+        FaultModel,
+        FaultTimeline,
+    )
+    from repro.faults.sampling import sample_crashes, sample_windows
+
 
 __all__ = [
     "BandwidthWindow",
@@ -21,3 +27,5 @@ __all__ = [
     "sample_crashes",
     "sample_windows",
 ]
+
+__getattr__, __dir__ = attach(__name__)

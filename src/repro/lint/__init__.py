@@ -22,15 +22,26 @@ code, it never produces results, so editing a rule must not invalidate
 caches.
 """
 
-from .baseline import Baseline, BaselineError, load_baseline, write_baseline
-from .framework import (
-    PROJECT_RULE_REGISTRY,
-    PROTECTED_PREFIXES,
-    RULE_REGISTRY,
-    Finding,
-    all_rule_ids,
-)
-from .runner import LintResult, collect_files, format_json, format_text, run_lint
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from .baseline import Baseline, BaselineError, load_baseline, write_baseline
+    from .framework import PROTECTED_PREFIXES, Finding
+    # The rule registries are read through the runner: importing it
+    # registers every rule.
+    from .runner import (
+        PROJECT_RULE_REGISTRY,
+        RULE_REGISTRY,
+        LintResult,
+        all_rule_ids,
+        collect_files,
+        format_json,
+        format_text,
+        run_lint,
+    )
+
 
 __all__ = [
     "Baseline",
@@ -48,3 +59,5 @@ __all__ = [
     "run_lint",
     "write_baseline",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -26,11 +26,19 @@ from .framework import (
     RULE_REGISTRY,
     FileContext,
     Finding,
+    all_rule_ids,
     parse_waivers,
     severity_for,
 )
 
-__all__ = ["LintResult", "run_lint", "collect_files", "format_text", "format_json"]
+__all__ = [
+    "LintResult",
+    "run_lint",
+    "collect_files",
+    "format_text",
+    "format_json",
+    "all_rule_ids",
+]
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis", ".repro-store"})

@@ -12,17 +12,23 @@ or store-key dataclasses — enabling observability must never change a
 result payload or a store key (see ``docs/observability.md``).
 """
 
-from repro.obs.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Recorder,
-    SpanRecord,
-    recorder,
-    span,
-    stage,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        Recorder,
+        SpanRecord,
+        recorder,
+        span,
+        stage,
+    )
+
 
 __all__ = [
     "Counter",
@@ -35,3 +41,5 @@ __all__ = [
     "span",
     "stage",
 ]
+
+__getattr__, __dir__ = attach(__name__)

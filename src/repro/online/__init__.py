@@ -15,24 +15,30 @@ Scheduler          Priority order under congestion
 =================  =============================================================
 """
 
-from repro.online.base import OnlineScheduler
-from repro.online.baselines import (
-    FCFS,
-    FairShare,
-    intrepid_scheduler,
-    ior_scheduler,
-    mira_scheduler,
-    vesta_scheduler,
-)
-from repro.online.heuristics import MaxSysEff, MinDilation, MinMaxGamma, RoundRobin
-from repro.online.priority import Priority
-from repro.online.registry import (
-    available_schedulers,
-    figure6_suite,
-    make_scheduler,
-    paper_heuristics,
-    tables_suite,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.online.base import OnlineScheduler
+    from repro.online.baselines import (
+        FCFS,
+        FairShare,
+        intrepid_scheduler,
+        ior_scheduler,
+        mira_scheduler,
+        vesta_scheduler,
+    )
+    from repro.online.heuristics import MaxSysEff, MinDilation, MinMaxGamma, RoundRobin
+    from repro.online.priority import Priority
+    from repro.online.registry import (
+        available_schedulers,
+        figure6_suite,
+        make_scheduler,
+        paper_heuristics,
+        tables_suite,
+    )
+
 
 __all__ = [
     "OnlineScheduler",
@@ -53,3 +59,5 @@ __all__ = [
     "figure6_suite",
     "tables_suite",
 ]
+
+__getattr__, __dir__ = attach(__name__)

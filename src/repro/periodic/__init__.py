@@ -15,18 +15,24 @@ heuristics plus the period sweep that wraps them:
   sweep over period lengths.
 """
 
-from repro.periodic.heuristics import (
-    InsertInScheduleCong,
-    InsertInScheduleThrou,
-    PeriodicHeuristic,
-)
-from repro.periodic.insertion import GreedyInserter
-from repro.periodic.period_search import (
-    PeriodSearchResult,
-    minimum_period,
-    search_period,
-)
-from repro.periodic.schedule import PeriodicSchedule, ScheduledInstance
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.periodic.heuristics import (
+        InsertInScheduleCong,
+        InsertInScheduleThrou,
+        PeriodicHeuristic,
+    )
+    from repro.periodic.insertion import GreedyInserter
+    from repro.periodic.period_search import (
+        PeriodSearchResult,
+        minimum_period,
+        search_period,
+    )
+    from repro.periodic.schedule import PeriodicSchedule, ScheduledInstance
+
 
 __all__ = [
     "PeriodicSchedule",
@@ -39,3 +45,5 @@ __all__ = [
     "minimum_period",
     "search_period",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -45,6 +45,7 @@ __all__ = [
     "PeriodicHeuristic",
     "InsertInScheduleThrou",
     "InsertInScheduleCong",
+    "PERIODIC_HEURISTIC_TABLE",
 ]
 
 
@@ -171,3 +172,11 @@ class InsertInScheduleCong(PeriodicHeuristic):
             app = candidates[0]
             if not inserter.try_insert(app):
                 blocked.add(app.name)
+
+
+#: The heuristics a spec's ``[periodic].heuristics`` names: name ->
+#: (heuristic class, the period-sweep objective it optimizes).
+PERIODIC_HEURISTIC_TABLE: dict[str, tuple[type[PeriodicHeuristic], str]] = {
+    "throughput": (InsertInScheduleThrou, "system_efficiency"),
+    "congestion": (InsertInScheduleCong, "dilation"),
+}

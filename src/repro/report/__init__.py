@@ -13,14 +13,20 @@ self-contained HTML/Markdown artifact.  Three layers:
   assembles ``report.html`` / ``report.md``.
 """
 
-from repro.report.build import (
-    RenderedFigure,
-    ReportResult,
-    SpecSection,
-    build_report,
-)
-from repro.report.charts import matplotlib_available, render_png, render_text
-from repro.report.figures import FigureData, extract_figures
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.report.build import (
+        RenderedFigure,
+        ReportResult,
+        SpecSection,
+        build_report,
+    )
+    from repro.report.charts import matplotlib_available, render_png, render_text
+    from repro.report.figures import FigureData, extract_figures
+
 
 __all__ = [
     "FigureData",
@@ -33,3 +39,5 @@ __all__ = [
     "ReportResult",
     "build_report",
 ]
+
+__getattr__, __dir__ = attach(__name__)

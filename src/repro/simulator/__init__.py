@@ -8,34 +8,41 @@ bandwidth at every event and returning a
 objectives (and every figure-level metric) can be computed.
 """
 
-from repro.simulator.bandwidth import fair_share, favor_in_order, single_application_rate
-from repro.simulator.burst_buffer import BurstBufferState
-from repro.simulator.engine import (
-    SimulationError,
-    Simulator,
-    SimulatorConfig,
-    StallError,
-    simulate,
-)
-from repro.simulator.interface import (
-    ApplicationPhase,
-    ApplicationView,
-    SchedulerProtocol,
-    SystemView,
-)
-from repro.simulator.interference import (
-    DEFAULT_INTERFERENCE,
-    NO_INTERFERENCE,
-    InterferenceModel,
-)
-from repro.simulator.metrics import (
-    ApplicationRecord,
-    BurstBufferStats,
-    FaultStats,
-    InstanceRecord,
-    SimulationResult,
-)
-from repro.simulator.reference import ReferenceSimulator, reference_simulate
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.core.allocation import BandwidthAllocation
+    from repro.simulator.bandwidth import fair_share, favor_in_order, single_application_rate
+    from repro.simulator.burst_buffer import BurstBufferState
+    from repro.simulator.engine import (
+        SimulationError,
+        Simulator,
+        SimulatorConfig,
+        StallError,
+        simulate,
+    )
+    from repro.simulator.interface import (
+        ApplicationPhase,
+        ApplicationView,
+        SchedulerProtocol,
+        SystemView,
+    )
+    from repro.simulator.interference import (
+        DEFAULT_INTERFERENCE,
+        NO_INTERFERENCE,
+        InterferenceModel,
+    )
+    from repro.simulator.metrics import (
+        ApplicationRecord,
+        BurstBufferStats,
+        FaultStats,
+        InstanceRecord,
+        SimulationResult,
+    )
+    from repro.simulator.reference import ReferenceSimulator, reference_simulate
+
 
 __all__ = [
     "Simulator",
@@ -64,4 +71,4 @@ __all__ = [
     "SimulationResult",
 ]
 
-from repro.core.allocation import BandwidthAllocation  # noqa: E402  (re-export)
+__getattr__, __dir__ = attach(__name__)

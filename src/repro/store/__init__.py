@@ -23,25 +23,31 @@ The consumers live next to the things they cache:
 See ``docs/artifacts.md`` for the key contract and on-disk layout.
 """
 
-from repro.store.canonical import (
-    CanonicalizationError,
-    canonical_json,
-    digest,
-    digest_grid,
-)
-from repro.store.fingerprint import (
-    PRODUCING_PACKAGES,
-    clear_fingerprint_cache,
-    code_fingerprint,
-)
-from repro.store.merge import MergeReport, StoreMergeError, merge_stores
-from repro.store.store import (
-    ResultStore,
-    StoreCollisionError,
-    StoreEntryInfo,
-    StoreStats,
-    default_store_path,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.store.canonical import (
+        CanonicalizationError,
+        canonical_json,
+        digest,
+        digest_grid,
+    )
+    from repro.store.fingerprint import (
+        PRODUCING_PACKAGES,
+        clear_fingerprint_cache,
+        code_fingerprint,
+    )
+    from repro.store.merge import MergeReport, StoreMergeError, merge_stores
+    from repro.store.store import (
+        ResultStore,
+        StoreCollisionError,
+        StoreEntryInfo,
+        StoreStats,
+        default_store_path,
+    )
+
 
 __all__ = [
     "CanonicalizationError",
@@ -60,3 +66,5 @@ __all__ = [
     "merge_stores",
     "default_store_path",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -5,26 +5,32 @@ every other subpackage.  Nothing in here encodes paper semantics; the paper
 model lives in :mod:`repro.core`.
 """
 
-from repro.utils.io import atomic_write_bytes, atomic_write_text
-from repro.utils.rng import RngLike, as_rng, spawn_rngs
-from repro.utils.units import (
-    GB,
-    GIB,
-    KB,
-    MB,
-    MIB,
-    TB,
-    format_bandwidth,
-    format_bytes,
-    format_duration,
-)
-from repro.utils.validation import (
-    ValidationError,
-    check_finite,
-    check_in_range,
-    check_non_negative,
-    check_positive,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.utils.io import atomic_write_bytes, atomic_write_text
+    from repro.utils.rng import RngLike, as_rng, spawn_rngs
+    from repro.utils.units import (
+        GB,
+        GIB,
+        KB,
+        MB,
+        MIB,
+        TB,
+        format_bandwidth,
+        format_bytes,
+        format_duration,
+    )
+    from repro.utils.validation import (
+        ValidationError,
+        check_finite,
+        check_in_range,
+        check_non_negative,
+        check_positive,
+    )
+
 
 __all__ = [
     "atomic_write_bytes",
@@ -47,3 +53,5 @@ __all__ = [
     "check_finite",
     "check_in_range",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -18,36 +18,42 @@ here:
   :data:`~repro.workload.ior.VESTA_SCENARIOS`.
 """
 
-from repro.workload.categories import (
-    CATEGORY_PROFILES,
-    Category,
-    CategoryProfile,
-    categorize,
-)
-from repro.workload.congested import (
-    N_INTREPID_MOMENTS,
-    N_MIRA_MOMENTS,
-    CongestedMomentSpec,
-    generate_congested_moment,
-    intrepid_congested_moments,
-    mira_congested_moments,
-)
-from repro.workload.darshan import (
-    DarshanRecord,
-    generate_records,
-    load_records,
-    record_to_application,
-    replicate_uncovered,
-    save_records,
-)
-from repro.workload.generator import (
-    MixSpec,
-    apply_sensibility,
-    figure6_mix,
-    generate_application,
-    generate_mix,
-)
-from repro.workload.ior import VESTA_SCENARIOS, IORGroup, ior_scenario, parse_scenario
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.workload.categories import (
+        CATEGORY_PROFILES,
+        Category,
+        CategoryProfile,
+        categorize,
+    )
+    from repro.workload.congested import (
+        N_INTREPID_MOMENTS,
+        N_MIRA_MOMENTS,
+        CongestedMomentSpec,
+        generate_congested_moment,
+        intrepid_congested_moments,
+        mira_congested_moments,
+    )
+    from repro.workload.darshan import (
+        DarshanRecord,
+        generate_records,
+        load_records,
+        record_to_application,
+        replicate_uncovered,
+        save_records,
+    )
+    from repro.workload.generator import (
+        MixSpec,
+        apply_sensibility,
+        figure6_mix,
+        generate_application,
+        generate_mix,
+    )
+    from repro.workload.ior import VESTA_SCENARIOS, IORGroup, ior_scenario, parse_scenario
+
 
 __all__ = [
     "Category",
@@ -76,3 +82,5 @@ __all__ = [
     "ior_scenario",
     "VESTA_SCENARIOS",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -28,27 +28,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.application import Application
+from repro.core.evaluation import VESTA_SCENARIOS
 from repro.core.platform import Platform, vesta
 from repro.core.scenario import Scenario
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.validation import ValidationError, check_positive
 
 __all__ = ["IORGroup", "parse_scenario", "ior_scenario", "VESTA_SCENARIOS"]
-
-#: The node mixes evaluated on Vesta (horizontal axes of Figures 14 and 15).
-VESTA_SCENARIOS: tuple[str, ...] = (
-    "256",
-    "512",
-    "32/512",
-    "256/256",
-    "256/512",
-    "256/256/256",
-    "256/256/512",
-    "512/256/32",
-    "512/256/256/32",
-    "256/256/256/256",
-    "512/512/512/512",
-)
 
 #: Default IOR-like parameters: each iteration computes for a while and then
 #: writes a fixed volume per node (checkpoint-style output).

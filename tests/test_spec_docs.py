@@ -1,10 +1,14 @@
-"""``docs/scenarios.md`` documents exactly the declared spec keys.
+"""``docs/scenarios.md`` and ``docs/faults.md`` document exactly the declared spec keys.
 
-Every key table of the page (a markdown table whose first column is
-``key``) sits under a heading that names one spec table; its key column
-must equal that table's declared key set — per scenario kind for the
-``[[scenarios]]`` tables.  A key column cell may hold several keys, and a
-nested table appears as ``[parent.name]`` / ``[[parent.name]]``.
+Every key table of ``docs/scenarios.md`` (a markdown table whose first
+column is ``key``) sits under a heading that names one spec table; its key
+column must equal that table's declared key set — per scenario kind for
+the ``[[scenarios]]`` tables.  A key column cell may hold several keys, and
+a nested table appears as ``[parent.name]`` / ``[[parent.name]]``.
+
+``docs/faults.md`` has one key table for the whole ``[faults]`` tree, whose
+nested keys are spelled by path: ``windows[].start`` for a key of an array
+of tables, ``random_windows.rate`` for a key of a table.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from repro.config.spec import (
     VestaSpec,
 )
 
-DOC = Path(__file__).resolve().parents[1] / "docs" / "scenarios.md"
+DOCS = Path(__file__).resolve().parents[1] / "docs"
+DOC = DOCS / "scenarios.md"
 
 
 def _keys(cls: type) -> set[str]:
@@ -130,6 +135,43 @@ def test_key_table_matches_declarations(heading: tuple[int, str]) -> None:
     assert heading in DOCUMENTED, f"no key table under {heading}"
     (documented,) = DOCUMENTED[heading]
     declared = EXPECTED[heading]
+    assert documented == declared, (
+        f"undocumented: {sorted(declared - documented)}, "
+        f"not declared: {sorted(documented - declared)}"
+    )
+
+
+def _key_paths(cls: type, prefix: str = "") -> set[str]:
+    """Declared keys of ``cls`` with nested tables spelled by path."""
+    paths = set()
+    for _, name, declared in declared_keys(cls):
+        if declared.table is None:
+            paths.add(prefix + name)
+        else:
+            joint = "[]." if declared.kind == "tables" else "."
+            paths |= _key_paths(declared.table, prefix + name + joint)
+    return paths
+
+
+def _faults_doc_keys() -> set[str]:
+    """The key column of the key table in ``docs/faults.md``."""
+    keys: set[str] = set()
+    in_key_table = False
+    for line in (DOCS / "faults.md").read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            in_key_table = False
+            continue
+        first = _cells(line)[0]
+        if first == "key":
+            in_key_table = True
+        elif in_key_table and not set(first) <= {"-", " "}:
+            keys |= set(re.findall(r"`([^`]+)`", first))
+    return keys
+
+
+def test_faults_doc_key_table_matches_declarations() -> None:
+    documented = _faults_doc_keys()
+    declared = _key_paths(FaultsSpec)
     assert documented == declared, (
         f"undocumented: {sorted(declared - documented)}, "
         f"not declared: {sorted(documented - declared)}"
