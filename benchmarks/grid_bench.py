@@ -1,20 +1,20 @@
-"""End-to-end experiment-throughput benchmark: write ``BENCH_grid.json``.
+"""End-to-end experiment-throughput benchmark: the ``BENCH_grid.json`` payload.
 
 ``BENCH_engine.json`` tracks the *simulator* hot path (events/sec of one
 run); this module tracks the *experiment* hot path — what a whole
-``repro run`` costs.  Two measurements:
+``repro run`` costs.  ``benchmarks/run_bench.py`` drives it.  Two
+measurements:
 
-* **spec throughput** — each bundled benchmark spec
-  (``examples/specs/analysis_figures.toml`` and
-  ``examples/specs/periodic.toml``) is executed end to end twice: serially
-  (``workers=1``) and pooled (``workers=0`` — one persistent
+* **spec throughput** — each bench spec (``examples/specs/analysis_figures.toml``
+  and ``examples/specs/periodic.toml``) is executed end to end twice:
+  serially (``workers=1``) and pooled (``workers=0`` — one persistent
   :class:`~repro.experiments.runner.ExperimentExecutor` per run, one worker
   per CPU).  The payload records wall-clock seconds, cells/sec and the
   per-stage (``build``/``run``/``report``) wall-time breakdown — read from
-  the telemetry spans of :mod:`repro.obs` — for both modes,
-  the speedup, and an ``identical`` flag asserting the pooled payload is
-  byte-for-byte the serial one (same contract as
-  ``tests/test_experiment_executor.py``; a false flag fails the benchmark).
+  the telemetry spans of :mod:`repro.obs` — for both modes, the speedup,
+  and an ``identical`` flag asserting the pooled payload is byte-for-byte
+  the serial one (same contract as ``tests/test_experiment_executor.py``;
+  a false flag fails the benchmark).
 * **campaign throughput** — the bundled checkpoint-storm grid is run
   serially and as a sharded campaign (:mod:`repro.campaign`), with an
   ``identical`` flag comparing every merged cell payload to the serial one.
@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import platform as _platform
 import time
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
-from repro.config.kinds import KINDS
 from repro.config.loader import load_spec
 from repro.config.run import run_spec
 from repro.config.spec import ExperimentSpec
@@ -41,22 +41,14 @@ from repro.experiments.runner import resolve_workers
 from repro.obs.telemetry import recorder as _obs_recorder
 from repro.utils.validation import ValidationError, check_positive
 
-__all__ = [
-    "DEFAULT_BENCH_SPECS",
-    "DEFAULT_CAMPAIGN_SPEC",
-    "bench_spec_path",
-    "scaled_spec",
-    "measure_spec_run",
-    "measure_campaign_run",
-    "run_grid_bench",
-    "grid_bench_broken",
-]
-
-#: Process-wide telemetry funnel; bench status events go through it.
+#: Process-wide telemetry funnel; its spans give the per-stage breakdown.
 _OBS = _obs_recorder()
 
-#: The bundled specs the end-to-end benchmark replays (ISSUE 4 acceptance
-#: criterion): the analysis suite (Figures 1/5/7) and the periodic study.
+#: The checkout whose ``examples/specs`` the spec stems resolve against.
+_SPECS_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+#: The bundled specs the end-to-end benchmark replays: the analysis suite
+#: (Figures 1/5/7) and the periodic study.
 DEFAULT_BENCH_SPECS: tuple[str, ...] = ("analysis_figures", "periodic")
 
 #: The bundled grid spec the sharded-campaign benchmark shards (a 6-cell
@@ -65,45 +57,77 @@ DEFAULT_BENCH_SPECS: tuple[str, ...] = ("analysis_figures", "periodic")
 DEFAULT_CAMPAIGN_SPEC = "checkpoint_storm"
 
 
-def bench_spec_path(name: str) -> Path:
-    """Path of a bundled benchmark spec, whatever the CWD.
-
-    ``name`` is a spec stem from :data:`DEFAULT_BENCH_SPECS` or any path to
-    a spec file (paths pass through untouched).  Stems resolve against the
-    working directory first (an installed ``repro bench`` run from a
-    checkout still finds the spec library) and fall back to the source
-    tree next to this module; a clear error names both locations when
-    neither exists, since an installed package does not ship the
-    ``examples/`` directory.
-    """
-    candidate = Path(name)
-    if candidate.suffix or len(candidate.parts) > 1 or candidate.is_file():
-        return candidate
-    relative = Path("examples") / "specs" / f"{name}.toml"
-    if relative.is_file():
-        return relative
-    in_tree = Path(__file__).resolve().parents[3] / relative
-    if in_tree.is_file():
-        return in_tree
-    raise ValidationError(
-        f"bundled bench spec {name!r} not found (looked at ./{relative} and "
-        f"{in_tree}); run from a repository checkout or pass an explicit "
-        "spec path"
+def _deepen_analysis(body, scale: int):
+    # More Figure 1 applications and more Figure 7 repetitions.
+    f1, f7 = body.figure1, body.figure7
+    return dataclasses.replace(
+        body,
+        figure1=dataclasses.replace(f1, n_applications=f1.n_applications * scale),
+        figure7=dataclasses.replace(f7, n_repetitions=f7.n_repetitions * scale),
     )
+
+
+def _analysis_cells(body, payload: Mapping) -> int:
+    # Figure 1 batches, one characterization, Figure 7 simulations.
+    from repro.analysis.throughput import figure1_batch_count
+
+    figures = payload.get("figures", {})
+    f1, f7 = body.figure1, body.figure7
+    cells = 0
+    if "figure1" in figures:
+        cells += figure1_batch_count(f1.n_applications, f1.applications_per_batch)
+    if "figure5" in figures:
+        cells += 1
+    if "figure7" in figures:
+        cells += len(f7.sensibilities) * f7.n_repetitions * len(f7.schedulers)
+    return cells
+
+
+def _periodic_cells(body, payload: Mapping) -> int:
+    # One schedule evaluation per sweep point, one simulation per online case.
+    sweeps = [entry.get("sweep", ()) for entry in payload.get("periodic", {}).values()]
+    return sum(map(len, sweeps)) + len(payload.get("online", {}))
+
+
+#: Per bench kind: ``deepen(body, scale)`` — a ``scale``-times deeper body —
+#: and ``cells(body, payload)`` — the independent work units a run's
+#: payload represents.
+_KIND_RULES: dict[str, tuple[Callable, Callable[..., int]]] = {
+    "analysis": (_deepen_analysis, _analysis_cells),
+    # A finer sweep: more greedy builds.
+    "periodic": (
+        lambda body, scale: dataclasses.replace(body, epsilon=body.epsilon / scale),
+        _periodic_cells,
+    ),
+}
+
+
+def _kind_rules(kind: str) -> tuple[Callable, Callable[..., int]]:
+    try:
+        return _KIND_RULES[kind]
+    except KeyError:
+        raise ValidationError(
+            f"the spec benchmark runs kinds {sorted(_KIND_RULES)}, not {kind!r}"
+        ) from None
+
+
+def bench_spec_path(name: str) -> Path:
+    """Path of the bundled spec ``name`` in this checkout's ``examples/specs``."""
+    return _SPECS_DIR / f"{name}.toml"
 
 
 def scaled_spec(spec: ExperimentSpec, scale: int) -> ExperimentSpec:
     """A deepened copy of a bench spec (``scale=1`` returns it unchanged).
 
     Scaling stays inside the spec dataclasses, so the bundled files remain
-    the source of truth: each kind's ``deepen`` in
-    :data:`repro.config.kinds.KINDS` says how.  Kinds without one run
-    unchanged — their cost is already proportional to the spec contents.
+    the source of truth.  Only the bench kinds (``analysis``, ``periodic``)
+    are accepted.
     """
     check_positive("scale", scale)
+    deepen, _ = _kind_rules(spec.kind)
     if scale == 1:
         return spec
-    return dataclasses.replace(spec, body=KINDS[spec.kind].deepen(spec.body, scale))
+    return dataclasses.replace(spec, body=deepen(spec.body, scale))
 
 
 def _stage_seconds() -> dict[str, float]:
@@ -139,7 +163,7 @@ def _timed_run(spec: ExperimentSpec) -> tuple[float, dict, dict[str, float]]:
 def measure_spec_run(
     name: str, *, scale: int = 1, workers: int = 0
 ) -> dict:
-    """Serial-vs-pooled end-to-end timing of one bundled spec.
+    """Serial-vs-pooled end-to-end timing of one bench spec.
 
     Returns a JSON-ready mapping with per-mode ``seconds`` / ``cells_per_sec``,
     the ``speedup`` ratio, the resolved pooled worker count, and the
@@ -153,7 +177,8 @@ def measure_spec_run(
 
     serial_seconds, serial_payload, serial_stages = _timed_run(serial_spec)
     pooled_seconds, pooled_payload, pooled_stages = _timed_run(pooled_spec)
-    n_cells = KINDS[spec.kind].cells(spec.body, serial_payload)
+    _, cells = _kind_rules(spec.kind)
+    n_cells = cells(spec.body, serial_payload)
     identical = json.dumps(serial_payload, sort_keys=True) == json.dumps(
         pooled_payload, sort_keys=True
     )
@@ -251,51 +276,42 @@ def measure_campaign_run(
     }
 
 
-def run_grid_bench(
-    specs: Sequence[str] = DEFAULT_BENCH_SPECS,
-    *,
-    scale: int = 1,
-    workers: int = 0,
-) -> dict:
-    """Measure every bench spec plus the campaign; assemble the payload.
+def run_grid_bench(*, scale: int = 1, workers: int = 0) -> dict:
+    """Measure every bench spec plus the campaign, printing one line per
+    measurement, and assemble the ``BENCH_grid.json`` payload.
 
-    The payload is what ``BENCH_grid.json`` serializes.  Any entry
-    whose ``identical`` flag is false marks a determinism regression —
-    ``benchmarks/run_bench.py`` turns that into a non-zero exit status.
-    Each measurement emits one ``bench`` status event.
+    Any entry whose ``identical`` flag is false marks a determinism
+    regression (see :func:`grid_bench_broken`).
     """
-    if not specs:
-        raise ValidationError("run_grid_bench needs at least one spec")
     check_positive("scale", scale)
     spec_entries = []
-    for name in specs:
+    for name in DEFAULT_BENCH_SPECS:
         entry = measure_spec_run(name, scale=scale, workers=workers)
         spec_entries.append(entry)
-        if _OBS.sinks:
-            _OBS.event(
-                "bench", step="spec", spec=entry["spec"],
-                message=f"{entry['spec']:<18} serial {entry['serial']['seconds']:6.2f}s, "
-                        f"pooled {entry['pooled']['seconds']:6.2f}s "
-                        f"({entry['pooled']['workers']} worker(s), "
-                        f"speedup {entry['speedup']:.2f}x, "
-                        f"identical={entry['identical']})",
-            )
-    campaign = measure_campaign_run()
-    if _OBS.sinks:
-        _OBS.event(
-            "bench", step="campaign", spec=campaign["spec"],
-            message=f"campaign {campaign['spec']:<18} "
-                    f"serial {campaign['serial']['cells_per_sec']:7.1f} cells/s, "
-                    f"sharded {campaign['sharded']['cells_per_sec']:7.1f} cells/s "
-                    f"({campaign['sharded']['workers']} worker(s), "
-                    f"identical={campaign['identical']})",
+        print(
+            f"{entry['spec']:<18} serial {entry['serial']['seconds']:6.2f}s, "
+            f"pooled {entry['pooled']['seconds']:6.2f}s "
+            f"({entry['pooled']['workers']} worker(s), "
+            f"speedup {entry['speedup']:.2f}x, "
+            f"identical={entry['identical']})",
+            flush=True,
         )
+    campaign = measure_campaign_run()
+    print(
+        f"campaign {campaign['spec']:<18} "
+        f"serial {campaign['serial']['cells_per_sec']:7.1f} cells/s, "
+        f"sharded {campaign['sharded']['cells_per_sec']:7.1f} cells/s "
+        f"({campaign['sharded']['workers']} worker(s), "
+        f"identical={campaign['identical']})",
+        flush=True,
+    )
     return {
         "benchmark": "experiment_grid",
         "scale": scale,
         "workers_requested": workers,
         "python": _platform.python_version(),
         "machine": _platform.machine(),
+        "cpu_count": os.cpu_count(),
         "specs": spec_entries,
         "campaign": campaign,
     }

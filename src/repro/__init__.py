@@ -15,7 +15,8 @@ The package provides:
 * :mod:`repro.config` — declarative scenario/experiment specs (TOML/JSON),
   the layer behind the ``repro`` command line;
 * :mod:`repro.cli` — the ``repro`` console script (``repro run <spec>``,
-  ``repro validate``, ``repro quickstart``, ``repro bench``, ``repro list``).
+  ``repro validate``, ``repro quickstart``, ``repro list``, ...); the
+  benchmarks live outside the package, in ``benchmarks/``.
 
 Each subpackage, and each public name of a subpackage, is imported on first
 use (:mod:`repro._lazy`): ``import repro`` loads none of them.

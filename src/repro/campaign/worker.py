@@ -49,7 +49,7 @@ import threading
 import time
 from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.campaign.mailbox import MailboxReader, MailboxWriter, wait_for_mail
 from repro.campaign.model import CampaignConfig

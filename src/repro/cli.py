@@ -1,6 +1,6 @@
 """``repro`` — the unified command-line entry point of the reproduction.
 
-Nine subcommands cover the whole surface:
+Eight subcommands cover the whole surface:
 
 * ``repro run <spec>`` — execute a declarative scenario/experiment spec
   (TOML or JSON; see ``docs/scenarios.md`` and ``examples/specs/``);
@@ -24,8 +24,6 @@ Nine subcommands cover the whole surface:
   verification on key collisions);
 * ``repro quickstart`` — a 30-second built-in demo (four applications
   competing for a shared file system under five schedulers);
-* ``repro bench`` — the engine-scaling benchmark, writing the
-  ``BENCH_engine.json`` trajectory payload;
 * ``repro list`` — discoverability: scheduler names, workload categories,
   experiment kinds and the bundled example specs;
 * ``repro lint`` — the static determinism/contract linter (``reprolint``,
@@ -200,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description=(
             "Reproduction of 'Scheduling the I/O of HPC applications under "
-            "congestion' (IPDPS 2015): run declarative experiment specs, "
-            "benchmarks and demos."
+            "congestion' (IPDPS 2015): run declarative experiment specs "
+            "and demos."
         ),
     )
     parser.add_argument(
@@ -554,58 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="experiment seed (default: %(default)s)"
     )
     quickstart.set_defaults(func=_cmd_quickstart)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the benchmarks (writes BENCH_engine.json + BENCH_grid.json)",
-        description=(
-            "Time the columnar engine against the preserved reference "
-            "engine, and the pooled end-to-end spec runs against serial "
-            "ones, writing both machine-readable trajectory payloads.  "
-            "Equivalent to benchmarks/run_bench.py."
-        ),
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_engine.json",
-        help="output path for the engine payload (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--grid-out",
-        default="BENCH_grid.json",
-        help="output path for the experiment-grid payload (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--scale",
-        type=int,
-        default=1,
-        help="benchmark-size multiplier, like REPRO_BENCH_SCALE (default: 1)",
-    )
-    bench.add_argument(
-        "--scheduler",
-        default="MaxSysEff",
-        help="scheduler driven through the engine and the reference (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--no-reference",
-        action="store_true",
-        help=(
-            "time only the engine — no speedups; combine with "
-            "--engine-only for a fast smoke run"
-        ),
-    )
-    bench_half = bench.add_mutually_exclusive_group()
-    bench_half.add_argument(
-        "--engine-only",
-        action="store_true",
-        help="skip the experiment-grid benchmark",
-    )
-    bench_half.add_argument(
-        "--grid-only",
-        action="store_true",
-        help="skip the engine-scaling benchmark",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     lister = sub.add_parser(
         "list",
@@ -1056,21 +1002,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
         "'repro list schedulers', and docs/scenarios.md for the spec format."
     )
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.scaling import run_bench_cli
-
-    # Scheduler/scale validation lives in run_bench_cli, shared with
-    # benchmarks/run_bench.py; errors surface via the ValidationError path.
-    return run_bench_cli(
-        out=args.out,
-        scale=args.scale,
-        scheduler=args.scheduler,
-        include_reference=not args.no_reference,
-        grid_out=None if args.engine_only else args.grid_out,
-        include_engine=not args.grid_only,
-    )
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

@@ -2,8 +2,8 @@
 
 :data:`KINDS` maps each kind's name to a :class:`Kind` record, and each
 step that depends on the kind does one lookup: ``parse_spec``,
-``run_spec``, ``repro validate``, ``repro list experiments`` and the spec
-benchmark.  The body dataclasses, whose fields declare the keys, stay in
+``run_spec``, ``repro validate`` and ``repro list experiments``.  The
+body dataclasses, whose fields declare the keys, stay in
 :mod:`repro.config.spec` and the runners in :mod:`repro.config.run`:
 ``perfbench``'s tracer times each layer by patching the harness names on
 :mod:`repro.config.run`, so the runners must keep calling them there.
@@ -13,10 +13,9 @@ a kind's ``imports`` bind when its spec is parsed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import repro.config.build as builders
 import repro.config.run as runners
@@ -48,9 +47,6 @@ class Kind:
     * ``run(spec, body, executor, store)`` executes the experiment and
       returns its payload (less the ``experiment`` header), per-cell
       records and text tables;
-    * ``deepen(body, scale)`` and ``cells(body, payload)`` serve the spec
-      benchmark: a ``scale``-times deeper body, and the independent work
-      units a run's payload represents;
     * ``imports`` names the lazily resolved producers of
       :mod:`repro.config.run` that only this kind's runner calls;
       :meth:`load` binds them (importing their modules) when a spec of the
@@ -62,10 +58,6 @@ class Kind:
     run: Callable[..., tuple[dict, list[dict], str]]
     horizon: Callable[[ExperimentBody, float], Optional[str]] = lambda body, max_time: None
     check: Callable[[ExperimentSpec], None] = lambda spec: None
-    deepen: Callable[[ExperimentBody, int], ExperimentBody] = lambda body, scale: body
-    cells: Callable[[ExperimentBody, Mapping], int] = (
-        lambda body, payload: max(1, len(payload.get("cells", ())))
-    )
     imports: tuple[str, ...] = ()
 
     def load(self) -> None:
@@ -129,38 +121,6 @@ def _check_grid(spec: ExperimentSpec) -> None:
     builders.build_cases(spec.body)
 
 
-def _periodic_cells(body, payload: Mapping) -> int:
-    # One schedule evaluation per sweep point, one simulation per online case.
-    sweeps = [entry.get("sweep", ()) for entry in payload.get("periodic", {}).values()]
-    return sum(map(len, sweeps)) + len(payload.get("online", {}))
-
-
-def _deepen_analysis(body, scale: int):
-    # More Figure 1 applications and more Figure 7 repetitions.
-    f1, f7 = body.figure1, body.figure7
-    return dataclasses.replace(
-        body,
-        figure1=dataclasses.replace(f1, n_applications=f1.n_applications * scale),
-        figure7=dataclasses.replace(f7, n_repetitions=f7.n_repetitions * scale),
-    )
-
-
-def _analysis_cells(body, payload: Mapping) -> int:
-    # Figure 1 batches, one characterization, Figure 7 simulations.
-    from repro.analysis.throughput import figure1_batch_count
-
-    figures = payload.get("figures", {})
-    f1, f7 = body.figure1, body.figure7
-    cells = 0
-    if "figure1" in figures:
-        cells += figure1_batch_count(f1.n_applications, f1.applications_per_batch)
-    if "figure5" in figures:
-        cells += 1
-    if "figure7" in figures:
-        cells += len(f7.sensibilities) * f7.n_repetitions * len(f7.schedulers)
-    return cells
-
-
 #: Every experiment kind, in the order ``repro list experiments`` shows.
 KINDS: dict[str, Kind] = {
     "grid": Kind(
@@ -203,9 +163,6 @@ KINDS: dict[str, Kind] = {
             "online half would skew the periodic-vs-online comparison",
         ),
         check=lambda spec: builders.build_periodic_setup(spec.body, spec.seed),
-        # A finer sweep: more greedy builds.
-        deepen=lambda body, scale: dataclasses.replace(body, epsilon=body.epsilon / scale),
-        cells=_periodic_cells,
         imports=("search_period", "PERIODIC_HEURISTIC_TABLE"),
     ),
     "analysis": Kind(
@@ -214,8 +171,6 @@ KINDS: dict[str, Kind] = {
         parse=_body_table("analysis", AnalysisSpec),
         run=runners._run_analysis_spec,
         check=lambda spec: builders.check_analysis_setup(spec.body, spec.seed),
-        deepen=_deepen_analysis,
-        cells=_analysis_cells,
         imports=(
             "throughput_decrease_study", "characterize", "generate_records",
             "sensitivity_study",

@@ -8,6 +8,10 @@
 * :mod:`repro.experiments.vesta` — the Vesta / modified-IOR emulation of
   Figures 14–16;
 * :mod:`repro.experiments.reporting` — plain-text tables and series.
+
+The engine and experiment-grid benchmarks are not part of the package:
+they live in ``benchmarks/``, so editing them leaves the code fingerprint
+of the result store unchanged.
 """
 
 from typing import TYPE_CHECKING

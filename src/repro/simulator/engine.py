@@ -75,8 +75,8 @@ kernels in two ways:
 ``tests/test_engine_equivalence.py``, ``tests/test_batched_edge_cases.py``
 and the differential fuzz suite (``tests/test_engine_differential.py``)
 enforce the identity, each on both kernels;
-``benchmarks/bench_engine_scaling.py`` tracks the speedup over the
-reference in ``BENCH_engine.json``.
+``benchmarks/engine_bench.py`` tracks the speedup over the reference in
+``BENCH_engine.json``.
 """
 
 from __future__ import annotations

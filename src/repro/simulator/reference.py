@@ -14,7 +14,7 @@ It is kept (and must stay behaviourally frozen) for three reasons:
   optimized engine and asserts bit-identical records, makespans and event
   logs — the optimized engine's correctness argument is "same timeline,
   same floats, faster bookkeeping";
-* ``benchmarks/bench_engine_scaling.py`` uses it as the baseline when
+* ``benchmarks/engine_bench.py`` uses it as the baseline when
   reporting the optimized engine's events/sec speedup in ``BENCH_engine.json``;
 * :func:`repro.simulator.engine.simulate` runs a scenario here when the
   scheduler has no vectorized kernel (a custom

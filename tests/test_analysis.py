@@ -12,10 +12,10 @@ from repro.analysis.sensitivity import (
 )
 from repro.analysis.throughput import throughput_decrease_study
 from repro.analysis.usage import characterize, daily_usage, io_time_percentage
-from repro.core.platform import generic
+from repro.core.platform import generic, intrepid
 from repro.utils.validation import ValidationError
 from repro.workload.categories import Category
-from repro.workload.darshan import DarshanRecord, generate_records
+from repro.workload.darshan import DarshanRecord, generate_records, replicate_uncovered
 
 
 class TestThroughputStudy:
@@ -36,6 +36,13 @@ class TestThroughputStudy:
         # The whole point of Figure 1: some applications lose a lot.
         assert study.max_decrease > 30.0
         assert study.fraction_above(10.0) > 0.2
+
+    def test_figure1_shape(self):
+        # Figure 1 over 60 applications: congestion costs some applications
+        # well over 40% of their throughput (the paper: up to ~70%).
+        study = throughput_decrease_study(n_applications=60, rng=1)
+        assert study.max_decrease > 40.0
+        assert study.fraction_above(30.0) > 0.1
 
     def test_fraction_above_monotone(self):
         study = throughput_decrease_study(
@@ -96,6 +103,17 @@ class TestUsage:
         summary = characterize(records)
         assert sum(summary.job_counts.values()) == len(records)
         assert summary.dominant_category() in set(Category)
+
+    def test_figure5_shape(self):
+        # A synthetic Intrepid year: small jobs dominate the count, and
+        # spend proportionally more time in I/O than very large ones.
+        records = generate_records(1500, intrepid(), rng=2013, duration_days=365.0)
+        usage = characterize(replicate_uncovered(records, rng=7))
+        assert usage.job_counts[Category.SMALL] > usage.job_counts[Category.VERY_LARGE]
+        assert (
+            usage.io_time_percent[Category.SMALL]
+            >= usage.io_time_percent[Category.VERY_LARGE]
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -187,6 +205,16 @@ class TestSensitivity:
             (0, 30), schedulers=("MinMax-0.5",), n_repetitions=2, rng=1
         )
         assert study.max_relative_variation("MinMax-0.5", "system_efficiency") < 0.25
+
+    def test_figure7_curves_are_flat(self):
+        # Figure 7's full 0-30% sweep: every scheduler's SysEfficiency
+        # stays within 25% of its value at 0% sensibility.
+        study = sensitivity_study(
+            (0, 5, 10, 15, 20, 25, 30), schedulers=FIGURE7_SCHEDULERS,
+            n_repetitions=2, rng=7,
+        )
+        for scheduler in study.schedulers:
+            assert study.max_relative_variation(scheduler, "system_efficiency") < 0.25
 
     def test_out_of_range_sensibility_rejected(self):
         with pytest.raises(ValidationError):

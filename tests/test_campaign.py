@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
-import os
 import time
 import tomllib
 from dataclasses import replace

@@ -210,14 +210,12 @@ class TestMain:
         assert main(["run", str(tiny_spec), "--format", "csv"]) == 2
         assert "--format" in capsys.readouterr().err
 
-    def test_bench_unknown_scheduler_exits_2(self, capsys):
-        assert main(["bench", "--scheduler", "MaxSysEfficiency"]) == 2
-        err = capsys.readouterr().err
-        assert "MaxSysEfficiency" in err and "MaxSysEff" in err
-
-    def test_bench_rejects_non_positive_scale(self, capsys):
-        assert main(["bench", "--scale", "0"]) == 2
-        assert "scale must be >= 1" in capsys.readouterr().err
+    def test_bench_is_not_a_command(self, capsys):
+        # The benchmarks live in benchmarks/run_bench.py, outside the library.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_list_commands(self, capsys):
         assert main(["list", "schedulers"]) == 0
@@ -357,7 +355,7 @@ class TestSubprocess:
     def test_help_mentions_subcommands(self):
         proc = run_module("--help")
         assert proc.returncode == 0
-        for command in ("run", "quickstart", "bench", "list"):
+        for command in ("run", "quickstart", "list"):
             assert command in proc.stdout
 
     def test_run_spec_end_to_end(self, tiny_spec, tmp_path):

@@ -260,8 +260,10 @@ class TestOverheadModel:
         values = list(overheads.values())
         assert min(values) >= 0.5
         assert max(values) <= 6.0
-        # Single 512-node group pays more than the 4x512 mix.
+        # The single 512-node group pays the most; the four-application
+        # mixes pay less.
         assert overheads["512"] > overheads["512/512/512/512"]
+        assert overheads["512"] >= overheads["512/256/256/32"]
 
     def test_apply_to_scenario_lengthens_instances(self):
         scenario = ior_scenario("256/256", rng=0)

@@ -11,15 +11,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.platform import intrepid
+from repro.core.application import Application
+from repro.core.evaluation import VESTA_SCENARIOS
+from repro.core.platform import BurstBufferSpec, Platform, generic, intrepid
+from repro.core.scenario import Scenario
 from repro.experiments.comparison import (
+    FIGURE6_SCHEDULERS,
+    TABLE_SCHEDULERS,
     congested_moments_experiment,
     figure6_experiment,
 )
 from repro.experiments.runner import SchedulerCase, run_grid
-from repro.experiments.vesta import figure16_per_application_dilation, run_vesta_case
+from repro.experiments.vesta import (
+    figure16_per_application_dilation,
+    run_vesta_case,
+    vesta_experiment,
+)
+from repro.online.baselines import FairShare
 from repro.online.registry import make_scheduler
+from repro.periodic import InsertInScheduleThrou, search_period
 from repro.simulator.engine import SimulatorConfig, simulate
+from repro.simulator.interference import NO_INTERFERENCE
 from repro.workload.congested import intrepid_congested_moments
 
 
@@ -154,7 +166,87 @@ class TestFigure6Claims:
         assert rr.dilation >= result.averages["MinDilation"].dilation
 
 
+@pytest.mark.parametrize(
+    "scenario", ["10large-20", "50small5large-20", "50small5large-35"]
+)
+def test_figure6_panel_shape(scenario):
+    """Every Figure 6 panel over 5 mixes: MaxSysEff wins SysEfficiency,
+    MinDilation wins Dilation, and MinMax-0.5 sits between the two on
+    Dilation (within 5%: in heavily congested mixes MinMax-0.5 and
+    MinDilation become nearly indistinguishable and can cross by a hair)."""
+    avg = figure6_experiment(
+        scenario, n_repetitions=5, schedulers=FIGURE6_SCHEDULERS, rng=6
+    ).averages
+    assert avg["MaxSysEff"].system_efficiency >= avg["MinDilation"].system_efficiency
+    assert avg["MinDilation"].dilation <= avg["MaxSysEff"].dilation
+    assert avg["MinDilation"].dilation <= avg["MinMax-0.5"].dilation * 1.05
+    assert avg["MinMax-0.5"].dilation <= avg["MaxSysEff"].dilation * 1.05
+
+
+def _table_averages(machine: str, n_moments: int, rng: int) -> dict:
+    """A Table 1/2 campaign, checked for the shape both tables share: the
+    Dilation order MinDilation <= MinMax-0.5 <= MaxSysEff, the heuristics
+    competitive with the machine's scheduler (with burst buffers) on their
+    own objective, and the upper limit above MaxSysEff."""
+    result = congested_moments_experiment(
+        machine, n_moments=n_moments, schedulers=TABLE_SCHEDULERS, rng=rng
+    )
+    table = result.table()
+    baseline = table[machine.capitalize()]
+    assert (
+        table["MinDilation"].dilation
+        <= table["MinMax-0.5"].dilation
+        <= table["MaxSysEff"].dilation
+    )
+    assert table["MaxSysEff"].system_efficiency >= 0.9 * baseline.system_efficiency
+    assert table["MinDilation"].dilation <= baseline.dilation
+    assert result.mean_upper_limit() >= table["MaxSysEff"].system_efficiency - 1e-9
+    return table
+
+
 class TestTableExperiments:
+    def test_table1_intrepid_shape(self):
+        table = _table_averages("intrepid", 8, rng=1)
+        # SysEfficiency moves the other way along the MinMax sweep.
+        assert (
+            table["MaxSysEff"].system_efficiency
+            >= table["MinMax-0.5"].system_efficiency
+            >= table["MinDilation"].system_efficiency * 0.95
+        )
+
+    def test_table2_mira_shape(self):
+        _table_averages("mira", 4, rng=2)
+
+    @pytest.mark.parametrize(
+        "machine, n_moments, schedulers, rng",
+        [
+            pytest.param(
+                "intrepid", 6,
+                ("Priority-MaxSysEff", "Priority-MinMax-0.25", "Priority-MinMax-0.5",
+                 "Priority-MinMax-0.75", "Priority-MinDilation", "MaxSysEff",
+                 "MinDilation"),
+                810, id="figures8-10",
+            ),
+            pytest.param(
+                "mira", 4,
+                ("Priority-MaxSysEff", "Priority-MinMax-0.5", "Priority-MinDilation",
+                 "MaxSysEff", "MinDilation"),
+                1113, id="figures11-13",
+            ),
+        ],
+    )
+    def test_per_moment_figures_beat_the_machine_scheduler(
+        self, machine, n_moments, schedulers, rng
+    ):
+        """The heuristics beat the native scheduler (with burst buffers) on
+        their respective objectives."""
+        table = congested_moments_experiment(
+            machine, n_moments=n_moments, schedulers=schedulers, rng=rng
+        ).table()
+        baseline = table[machine.capitalize()]
+        assert table["MaxSysEff"].system_efficiency >= 0.9 * baseline.system_efficiency
+        assert table["Priority-MinDilation"].dilation <= baseline.dilation
+
     def test_mira_campaign_shape(self):
         result = congested_moments_experiment(
             "mira",
@@ -204,10 +296,27 @@ class TestVestaClaims:
         small_app = "ior-3-32n"
         big_app = "ior-0-512n"
         # MaxSysEff favours the big application at the expense of the small one.
+        assert data["MaxSysEff"][big_app] <= data["IOR"][big_app]
         assert data["MaxSysEff"][big_app] <= data["MaxSysEff"][small_app]
-        # MinDilation keeps the spread of dilations tighter than MaxSysEff.
+        # MinDilation keeps the spread of dilations tighter than MaxSysEff,
+        # and sacrifices no application as much.
         spread = lambda d: max(d.values()) - min(d.values())  # noqa: E731
         assert spread(data["MinDilation"]) <= spread(data["MaxSysEff"])
+        assert max(data["MinDilation"].values()) <= max(data["MaxSysEff"].values()) + 1e-9
+
+    def test_figure15_multi_application_mixes(self):
+        """Figure 15 over the first eight Vesta mixes: with three or more
+        applications the heuristics beat plain IOR, and MaxSysEff without
+        burst buffers stays within 15% of IOR with them."""
+        mixes = VESTA_SCENARIOS[:8]
+        result = vesta_experiment(scenarios=mixes)
+        for mix in (m for m in mixes if m.count("/") >= 2):
+            ior = result.cell(mix, "IOR").summary
+            maxsyseff = result.cell(mix, "MaxSysEff").summary
+            assert maxsyseff.system_efficiency > ior.system_efficiency
+            assert result.cell(mix, "MinDilation").summary.dilation < ior.dilation
+            bb_ior = result.cell(mix, "BBIOR").summary
+            assert maxsyseff.system_efficiency >= 0.85 * bb_ior.system_efficiency
 
 
 class TestPeriodicVsOnline:
@@ -220,11 +329,6 @@ class TestPeriodicVsOnline:
         has no choice but to serialize all transfers, which the paper leaves
         to future work to improve on).
         """
-        from repro.core.application import Application
-        from repro.core.platform import Platform
-        from repro.core.scenario import Scenario
-        from repro.periodic import InsertInScheduleThrou, search_period
-
         platform = Platform("steady", 200, 1e6, 2e7)
         apps = [
             Application.periodic(f"s{i}", 30, work=120.0 + 30 * i, io_volume=8e8,
@@ -241,3 +345,70 @@ class TestPeriodicVsOnline:
         online_eff = online.summary().system_efficiency
         assert result.best_schedule.is_complete()
         assert periodic_eff >= 0.6 * online_eff
+
+
+class TestAblations:
+    """How much each modelling knob matters (not paper figures)."""
+
+    def test_interference_hurts_the_uncoordinated_baseline(self):
+        moments = intrepid_congested_moments(3, rng=100)
+        efficiency = {
+            label: np.mean([simulate(m, scheduler).summary().system_efficiency
+                            for m in moments])
+            for label, scheduler in (
+                ("interfering", FairShare()),
+                ("ideal", FairShare(interference=NO_INTERFERENCE)),
+            )
+        }
+        assert efficiency["interfering"] < efficiency["ideal"]
+
+    def test_more_burst_buffer_capacity_never_hurts(self):
+        moments = intrepid_congested_moments(2, rng=101)
+        efficiency = []
+        for capacity in (0.5e12, 2e12, 4e12, 16e12):
+            platform = intrepid().with_burst_buffer(
+                BurstBufferSpec(capacity=capacity, ingest_bandwidth=512e9,
+                                drain_bandwidth=0.6 * 88e9)
+            )
+            efficiency.append(np.mean([
+                simulate(
+                    m.with_platform(platform),
+                    FairShare(name="Intrepid"),
+                    SimulatorConfig(use_burst_buffer=True),
+                ).summary().system_efficiency
+                for m in moments
+            ]))
+        assert efficiency[-1] >= efficiency[0] - 2.0
+
+    def test_minmax_gamma_trades_dilation(self):
+        """γ=0 is MaxSysEff, γ=1 is MinDilation: the larger γ, the lower
+        the average Dilation."""
+        grid = run_grid(
+            intrepid_congested_moments(3, rng=102),
+            [
+                SchedulerCase("MaxSysEff", label="MinMax-0.0"),
+                SchedulerCase("MinMax-0.25"),
+                SchedulerCase("MinMax-0.5"),
+                SchedulerCase("MinMax-0.75"),
+                SchedulerCase("MinDilation", label="MinMax-1.0"),
+            ],
+        )
+        assert grid.mean("MinMax-1.0", "dilation") <= grid.mean("MinMax-0.0", "dilation")
+
+    def test_finer_period_search_is_no_worse(self):
+        platform = generic(total_processors=400, node_bandwidth=1e6,
+                           system_bandwidth=4e7, name="ablation")
+        apps = [
+            Application.periodic(f"a{i}", 80, work=120.0 + 40 * i, io_volume=2e9,
+                                 n_instances=3)
+            for i in range(4)
+        ]
+        best = [
+            search_period(
+                InsertInScheduleThrou(), platform, apps,
+                objective="system_efficiency", epsilon=epsilon,
+                max_period_factor=6.0,
+            ).best_schedule.summary().system_efficiency
+            for epsilon in (0.5, 0.2, 0.05)
+        ]
+        assert best[-1] >= best[0] - 1e-6

@@ -11,7 +11,6 @@ worker is killed mid-campaign (the sinks flush in ``finally``).
 from __future__ import annotations
 
 import json
-import tomllib
 from pathlib import Path
 
 import pytest

@@ -6,11 +6,11 @@ import math
 
 import pytest
 
+from bench_modules import load_bench
 from repro.core.allocation import BandwidthAllocation
 from repro.core.application import Application
 from repro.core.events import EventLog, EventType
 from repro.core.scenario import Scenario
-from repro.experiments.scaling import scaling_scenario
 from repro.obs.telemetry import recorder
 from repro.online.baselines import FairShare
 from repro.online.heuristics import MaxSysEff, MinDilation, RoundRobin
@@ -25,6 +25,8 @@ from repro.simulator.engine import (
 from repro.simulator.interference import NO_INTERFERENCE
 from repro.simulator.reference import reference_simulate
 from repro.utils.validation import ValidationError
+
+scaling_scenario = load_bench("engine_bench").scaling_scenario
 
 
 def ideal_fair_share() -> FairShare:
