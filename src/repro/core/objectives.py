@@ -93,8 +93,12 @@ def achieved_efficiency(outcome: ApplicationOutcome) -> float:
     nothing measurable) is given efficiency equal to its optimal efficiency,
     so that its dilation is 1 and it does not pollute the aggregate metrics.
     """
+    return _achieved(outcome, optimal_efficiency(outcome))
+
+
+def _achieved(outcome: ApplicationOutcome, optimal: float) -> float:
     if outcome.elapsed <= 0:
-        return optimal_efficiency(outcome)
+        return optimal
     return outcome.executed_work / outcome.elapsed
 
 
@@ -108,8 +112,11 @@ def optimal_efficiency(outcome: ApplicationOutcome) -> float:
 
 def application_dilation(outcome: ApplicationOutcome) -> float:
     """Slowdown ``rho / rho_tilde`` of one application (>= 1 up to rounding)."""
-    achieved = achieved_efficiency(outcome)
     optimal = optimal_efficiency(outcome)
+    return _dilation(_achieved(outcome, optimal), optimal)
+
+
+def _dilation(achieved: float, optimal: float) -> float:
     if achieved <= 0:
         if optimal <= 0:
             return 1.0
@@ -202,10 +209,25 @@ class ObjectiveSummary:
 def summarize(
     outcomes: Sequence[ApplicationOutcome], total_processors: int | None = None
 ) -> ObjectiveSummary:
-    """Compute both objectives (and the upper limit) for a set of outcomes."""
+    """Compute both objectives (and the upper limit) for a set of outcomes.
+
+    Each application's efficiencies are computed once; the sums, the max
+    and the mean run over the same values in the same order as
+    :func:`system_efficiency`, :func:`max_dilation`,
+    :func:`system_efficiency_upper_limit` and :func:`mean_dilation`, so
+    every float equals theirs.
+    """
+    if not outcomes:
+        raise ValidationError("system_efficiency needs at least one outcome")
+    n = _total_processors(outcomes, total_processors)
+    optimal = [optimal_efficiency(o) for o in outcomes]
+    achieved = [_achieved(o, opt) for o, opt in zip(outcomes, optimal)]
+    dilations = [_dilation(ach, opt) for ach, opt in zip(achieved, optimal)]
     return ObjectiveSummary(
-        system_efficiency=100.0 * system_efficiency(outcomes, total_processors),
-        dilation=max_dilation(outcomes),
-        upper_limit=100.0 * system_efficiency_upper_limit(outcomes, total_processors),
-        mean_dilation=mean_dilation(outcomes),
+        system_efficiency=100.0
+        * float(sum(o.processors * ach for o, ach in zip(outcomes, achieved)) / n),
+        dilation=float(max(dilations)),
+        upper_limit=100.0
+        * float(sum(o.processors * opt for o, opt in zip(outcomes, optimal)) / n),
+        mean_dilation=float(np.mean(dilations)),
     )

@@ -18,24 +18,27 @@ one event loop and one set of transitions; they differ only in the passes
 whose cost grows with width — the due set, the candidate set and its
 ordering, the horizon and the advance:
 
-* the **scalar kernel** keeps the columns as Python lists and the I/O
-  candidates as a set updated by the transitions that enter and leave an
-  I/O phase, so each event is plain-float work over the candidates and
-  the applications that transition;
+* the **scalar kernel** keeps the columns as Python lists, and the
+  transitions keep three more structures current so that an event's work
+  grows with its candidates and transitions, not with the width: a heap of
+  own transition times (lazily deleted), the I/O candidates as a queue in
+  ``(request time, name rank)`` order, and the list of transfers drained
+  since the last transitions;
 * the **columnar kernel** keeps them as numpy arrays, so each event is a
   fixed number of whole-column numpy calls (a mask, a ``lexsort``, a
   reduction) whatever the width.
 
 At the paper's widths (4 to 55 applications) a numpy call costs more in
-dispatch than in arithmetic, and the scalar kernel is up to three times
-faster per event; past a few dozen I/O candidates its per-candidate
-Python work costs more than the columnar kernel's fixed calls.
+dispatch than in arithmetic, and the scalar kernel is up to almost four
+times faster per event; past about fifty I/O candidates (FairShare) to a
+hundred (the favouring policies) its per-candidate Python work costs
+more than the columnar kernel's fixed calls.
 :meth:`Simulator.run` therefore runs scenarios of at most
 ``_SCALAR_MAX_APPS`` applications on the scalar kernel and wider ones on
 the columnar kernel; the crossover was measured per width (see
 ``docs/performance.md``) and each run is counted as
-``repro_engine_runs_total{kernel=...}``.  Both kernels read the same
-columns the same way:
+``repro_engine_runs_total{kernel=...}``.  Both kernels keep the same
+columns with the same meaning:
 
 * ``own_t`` holds each application's own next transition time — its
   release while not released, its compute end while computing, ``inf``
@@ -43,11 +46,17 @@ columns the same way:
   phase, ``inf`` otherwise.  So an application is due when
   ``own_t <= t + eps`` or ``remaining <= eps``, and the horizon is
   ``max(0, min(own_t) - t)`` against the transfer times of the served
-  candidates.  ``min(fl(x_i - t)) == fl(min(x_i) - t)`` because IEEE
-  rounding is monotone, so the horizon is exact.
+  candidates.  The columnar kernel reduces the column; the scalar kernel
+  reads the top of its heap, which holds an ``(own_t[i], i)`` entry for
+  every finite own time (an entry is live while ``own_t[i]`` still equals
+  it), and takes the due volumes from the drained list.
+  ``min(fl(x_i - t)) == fl(min(x_i) - t)`` because IEEE rounding is
+  monotone, so the horizon is exact.
 * pending and transferring I/O share one phase code, so the candidates
   are one set; the served ones (positive rate) are the only transfers the
-  horizon and the advance touch.
+  horizon and the advance touch.  The scalar kernel takes them from the
+  allocation (the greedy loop's grants, or every candidate of a positive
+  fair share) instead of rescanning the candidates' rates.
 * the columnar kernel enters one ``np.errstate`` per run instead of two
   per event, and calls reductions and ``nonzero`` on the ufunc or the
   array directly rather than through numpy's Python wrappers.
@@ -64,11 +73,13 @@ kernels in two ways:
   total, per-run recovery-I/O sums) stay as ordered Python loops exactly
   mirroring the reference;
 * the scheduler policies are dispatched **by exact type** onto native
-  orderings (``np.lexsort``, or ``sorted`` on tuple keys, both ending in
-  the shared ``(request time, name)`` tie-break, which makes the order
-  total).  Any scheduler outside the built-in set — subclasses and
-  custom :class:`~repro.simulator.interface.SchedulerProtocol` objects —
-  runs the whole scenario on the reference engine instead, which handles
+  orderings, all ending in the shared ``(request time, name)`` tie-break,
+  which makes the order total: ``np.lexsort`` over the columns, or a
+  stable ``sorted`` of the request-ordered queue by the policy's primary
+  key (FCFS is the queue itself).  Any scheduler outside the built-in
+  set — subclasses and custom
+  :class:`~repro.simulator.interface.SchedulerProtocol` objects — runs
+  the whole scenario on the reference engine instead, which handles
   arbitrary schedulers; each such run is counted as
   ``repro_engine_fallback_total``.
 
@@ -82,7 +93,9 @@ enforce the identity, each on both kernels;
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -192,7 +205,7 @@ _DONE = 3
 #: Widest scenario (in applications) that runs on the scalar kernel; wider
 #: ones run on the columnar kernel.  The measured crossover: see the module
 #: docstring and the per-width table in docs/performance.md.
-_SCALAR_MAX_APPS = 55
+_SCALAR_MAX_APPS = 80
 
 #: Heuristics whose ``allocate`` is the shared greedy favouring loop and
 #: whose ordering reduces to a native ordering.  Keys are *exact* types: a
@@ -267,6 +280,78 @@ def _native_policy(scheduler: SchedulerProtocol):
     return None
 
 
+class _ScenarioColumns:
+    """The per-application columns that depend on the scenario alone.
+
+    A grid runs every scheduler of a scenario in a row (8 series per
+    Figure 6 mix), so these are built once per :class:`Scenario` object
+    and shared by its runs; see :func:`_scenario_columns`.  Every column is
+    a tuple: a run copies what it mutates.
+    """
+
+    __slots__ = (
+        "apps", "names", "index_of", "ranks", "procs", "procs_f", "release",
+        "n_inst", "peaks", "opt_tables",
+    )
+
+    def __init__(self, scenario: Scenario):
+        platform = scenario.platform
+        apps = tuple(scenario)
+        n = len(apps)
+        self.apps = apps
+        self.names = tuple(app.name for app in apps)
+        self.index_of = {name: i for i, name in enumerate(self.names)}
+        # Unique rank of each name in sorted order: the deterministic final
+        # tie-break of every ordering, so lexsort (and the scalar kernel's
+        # request-ordered queue) orders exactly as sorted() with
+        # (..., request time, name) tuple keys.
+        ranks = [0] * n
+        for rank, i in enumerate(sorted(range(n), key=self.names.__getitem__)):
+            ranks[i] = rank
+        self.ranks = tuple(ranks)
+        self.procs = tuple(app.processors for app in apps)
+        self.procs_f = tuple(float(p) for p in self.procs)
+        self.release = tuple(app.release_time for app in apps)
+        self.n_inst = tuple(app.n_instances for app in apps)
+        self.peaks = tuple(
+            platform.peak_application_bandwidth(app.processors) for app in apps
+        )
+        # Congestion-free efficiency per instance prefix, accumulated with
+        # the exact add sequence of the reference's per-event
+        # sum(instances[:upto]) so the floats match bit-for-bit.
+        opt_tables = []
+        for app, peak in zip(apps, self.peaks):
+            works = 0.0
+            vols = 0.0
+            table = []
+            for inst in app.instances:
+                works += inst.work
+                vols += inst.io_volume
+                denom = works + (vols / peak if peak > 0 else 0.0)
+                table.append(works / denom if denom > 0 else 1.0)
+            opt_tables.append(tuple(table))
+        self.opt_tables = tuple(opt_tables)
+
+
+#: The columns of the most recently simulated scenario, behind a weak
+#: reference to it.  One slot serves a grid, which runs a scenario's
+#: schedulers in a row, and holds one scenario's columns at most; they
+#: never live on the scenario itself, a frozen dataclass that is keyed
+#: into the result store and pickled to workers.  Sharing the slot across
+#: callers is safe: the columns are a pure function of an immutable
+#: scenario.
+_last_columns: tuple = (None, None)
+
+
+def _scenario_columns(scenario: Scenario) -> _ScenarioColumns:
+    global _last_columns
+    ref, columns = _last_columns
+    if ref is None or ref() is not scenario:
+        columns = _ScenarioColumns(scenario)
+        _last_columns = (weakref.ref(scenario), columns)
+    return columns
+
+
 class Simulator:
     """Runs one scenario under one scheduler and produces a result record."""
 
@@ -327,48 +412,28 @@ class Simulator:
         scheduler.reset()
         config = self.config
         platform = self.platform
-        apps = list(self.scenario)
+        static = _scenario_columns(self.scenario)
+        apps = static.apps
         n = len(apps)
         node_bw = float(platform.node_bandwidth)
         system_bw = float(platform.system_bandwidth)
-        names = [app.name for app in apps]
-        index_of = {name: i for i, name in enumerate(names)}
+        names = static.names
+        index_of = static.index_of
         interference = scheduler.interference if alloc_kind == "fairshare" else None
 
         def column(values, dtype=np.float64):
-            """One per-application column: a list (scalar) or an array."""
-            return list(values) if scalar else np.array(values, dtype=dtype)
+            """One per-application column from a fresh list: the list itself
+            (scalar) or an array."""
+            return values if scalar else np.array(values, dtype=dtype)
 
         # ---------------- immutable per-application columns --------------
-        procs_i = [app.processors for app in apps]
-        procs_f = column([float(p) for p in procs_i])
-        release = column([app.release_time for app in apps])
-        n_inst = [app.n_instances for app in apps]
-        peaks = [
-            platform.peak_application_bandwidth(app.processors) for app in apps
-        ]
-        # Unique rank of each name in sorted order: the deterministic final
-        # tie-break of every ordering, so lexsort (and sorted() on tuple
-        # keys) produces exactly the ordering of sorted() with
-        # (..., request time, name) tuple keys.
-        ranks = [0] * n
-        for rank, i in enumerate(sorted(range(n), key=names.__getitem__)):
-            ranks[i] = rank
-        name_rank = column(ranks, np.int64)
-        # Congestion-free efficiency per instance prefix, accumulated with
-        # the exact add sequence of the reference's per-event
-        # sum(instances[:upto]) so the floats match bit-for-bit.
-        opt_tables: list[list[float]] = []
-        for app, peak in zip(apps, peaks):
-            works = 0.0
-            vols = 0.0
-            table: list[float] = []
-            for inst in app.instances:
-                works += inst.work
-                vols += inst.io_volume
-                denom = works + (vols / peak if peak > 0 else 0.0)
-                table.append(works / denom if denom > 0 else 1.0)
-            opt_tables.append(table)
+        procs_i = static.procs
+        procs_f = column(static.procs_f)
+        release = column(static.release)
+        n_inst = static.n_inst
+        peaks = static.peaks
+        name_rank = column(static.ranks, np.int64)
+        opt_tables = static.opt_tables
 
         # ---------------- mutable state columns ---------------------------
         phase = column([_NOT_RELEASED] * n, np.int64)
@@ -378,7 +443,7 @@ class Simulator:
         compute_start = [0.0] * n
         # Own next transition: release if not released, compute end if
         # computing, else inf.
-        own_t = column([app.release_time for app in apps])
+        own_t = column(list(static.release))
         # Volume still to move while in an I/O phase, else inf.
         remaining = column([math.inf] * n)
         rate = column([0.0] * n)
@@ -393,10 +458,20 @@ class Simulator:
         recovery_io = column([0.0] * n)
         opt_cur = column([table[0] for table in opt_tables])
         inst_records: list[list[InstanceRecord]] = [[] for _ in range(n)]
-        # The applications in an I/O phase (``phase == _IO``), kept by the
-        # transitions that enter and leave one; the scalar passes read it
-        # instead of scanning every application.
-        io_apps: set[int] = set()
+        # Scalar-kernel bookkeeping, kept by the transitions so that no
+        # scalar pass scans the whole width:
+        # * own_heap: (own_t, i) entries, one pushed whenever own_t[i]
+        #   becomes finite; an entry is live iff own_t[i] still equals its
+        #   time, and stale ones are dropped as they surface;
+        # * queue: the I/O candidates in (io_req, name rank) order, the
+        #   shared tie-break of every ordering;
+        # * drained: the I/O applications whose volume fell to
+        #   _VOLUME_EPS since the last transitions (advance, zero-byte
+        #   checkpoint).
+        own_heap = [(t, i) for i, t in enumerate(static.release)]
+        heapify(own_heap)
+        queue: list[int] = []
+        drained: list[int] = []
         n_done = 0
 
         log = event_log if event_log is not None else (
@@ -417,21 +492,38 @@ class Simulator:
         # ---------------- scalar transition cascade -----------------------
         # These closures mirror the reference's transition methods; they run
         # only for the few applications due at each event.  They skip the
-        # reference's resets that no pass reads: ``rate`` and ``io_req``
-        # are read for I/O candidates only, and every allocation rewrites
-        # ``rate`` for all of them.  ``io_first`` is NaN outside a started
-        # transfer: the instance's exits (completion, recovery, crash)
-        # reset it.
+        # reference's resets that no pass reads: ``rate`` is read for served
+        # transfers only, each of which the allocation has just rated, and
+        # ``io_req`` for I/O candidates only.  ``io_first`` is NaN outside a
+        # started transfer: the instance's exits (completion, recovery,
+        # crash) reset it.
+
+        def enqueue(i, time):
+            # Every queued request is at most ``time`` old (time only moves
+            # forward), so i goes last but for same-instant requests of a
+            # higher name rank.
+            rank = name_rank[i]
+            pos = len(queue)
+            while pos:
+                j = queue[pos - 1]
+                if io_req[j] != time or name_rank[j] < rank:
+                    break
+                pos -= 1
+            queue.insert(pos, i)
 
         def start_compute(i, time):
             inst = apps[i].instances[instance_idx[i]]
             phase[i] = _COMPUTING
             compute_start[i] = time
-            own_t[i] = time + inst.work
             remaining[i] = math.inf
             if inst.work <= _TIME_EPS:
                 executed[i] += inst.work
                 request_io(i, time)
+                return
+            end = time + inst.work
+            own_t[i] = end
+            if scalar:
+                heappush(own_heap, (end, i))
 
         def request_io(i, time):
             inst = apps[i].instances[instance_idx[i]]
@@ -441,9 +533,10 @@ class Simulator:
                 complete_instance(i, time)
                 return
             phase[i] = _IO
-            io_apps.add(i)
             remaining[i] = inst.io_volume
             io_req[i] = time
+            if scalar:
+                enqueue(i, time)
             emit(time, EventType.IO_REQUEST, names[i], instance_idx[i])
 
         def complete_instance(i, time):
@@ -498,11 +591,17 @@ class Simulator:
                 executed[i] -= apps[i].instances[instance_idx[i]].work
             recovering[i] = True
             phase[i] = _IO
-            io_apps.add(i)
             own_t[i] = math.inf
             remaining[i] = crash.checkpoint_io
             io_first[i] = math.nan
             io_req[i] = time
+            if scalar:
+                # A new request: an application already in I/O re-queues.
+                if p == _IO:
+                    queue.remove(i)
+                enqueue(i, time)
+                if crash.checkpoint_io <= _VOLUME_EPS:
+                    drained.append(i)
 
         faults = self.scenario.faults
         timeline = FaultTimeline(faults) if faults is not None else None
@@ -519,100 +618,140 @@ class Simulator:
 
         # ---------------- width-proportional passes -----------------------
         # Two forms with one contract each: the scalar form does plain-float
-        # work over the I/O candidates and the due applications; the
-        # columnar form is whole-column numpy.  Both produce the same
+        # work over the I/O candidates and the applications that transition;
+        # the columnar form is whole-column numpy.  Both produce the same
         # floats in the same order.
         #
         # due(time)             due applications, ascending index
-        # candidates()          the I/O candidates, ascending index
-        # fair(cand, total, ingest)  fair-share rates; their sequential sum
-        #                       if ingest
-        # favor_order(cand, t)  zero the candidates' rates, return them in
-        #                       the scheduler's grant order (a list)
-        # serve(cand, time)     stamp first transfers, return the served
+        # candidates()          the I/O candidates (scalar: request order;
+        #                       columnar: ascending index)
+        # fair(cand, total, ingest)  fair-share rates; returns their
+        #                       sequential sum in index order if ingest, and
+        #                       the granted candidates (scalar only)
+        # favor_order(cand, t)  the candidates in the scheduler's grant
+        #                       order (a list); columnar: zeroes their rates
+        # serve(cand, grants, time)  stamp first transfers, return the
+        #                       served (scalar: the grants as they are)
         # horizon(active, t)    time to the next own transition or transfer
         # advance(active, dt)   move the served transfers forward by dt
         if scalar:
 
             def due(time):
                 slack = time + _TIME_EPS
-                # remaining is inf outside an I/O phase, so only the I/O
-                # applications can be due by volume.
-                ready = {i for i in io_apps if remaining[i] <= _VOLUME_EPS}
-                if min(own_t) <= slack:
-                    ready.update(i for i, t in enumerate(own_t) if t <= slack)
-                return sorted(ready)
+                ready = [i for i in drained if remaining[i] <= _VOLUME_EPS]
+                drained.clear()
+                while own_heap and own_heap[0][0] <= slack:
+                    t, i = heappop(own_heap)
+                    if own_t[i] == t:
+                        ready.append(i)
+                if len(ready) > 1:
+                    return sorted(set(ready))
+                return ready
 
             def candidates():
-                return sorted(io_apps)
+                return queue
 
             def fair(cand, total, ingest):
                 gamma = fair_gamma(sum([procs_i[i] for i in cand]), total)
+                if gamma <= 0.0:
+                    return 0.0, []
                 granted = 0.0
-                for i in cand:
+                # Sequential ingest sum in index order, as the reference.
+                for i in sorted(cand) if ingest else cand:
                     r = gamma * procs_f[i]
                     rate[i] = r
                     granted += r
-                return granted
+                return granted, cand
 
-            def favor_order(cand, time):
-                for i in cand:
-                    rate[i] = 0.0
-                if len(cand) < 2:
+            # The orderings: each is a stable sort of the request-ordered
+            # queue by its primary key, which equals sorted() on the full
+            # (primary, request time, name rank) key because name ranks are
+            # unique.
+            def achieved(cand, time):
+                """The candidates' achieved efficiencies, as the reference's
+                views compute them."""
+                return [
+                    executed[i] / el if (el := time - release[i]) > _TIME_EPS
+                    else opt_cur[i]
+                    for i in cand
+                ]
+
+            if ordering == "fcfs":
+
+                def order(cand, time):
                     return cand
-                key = None  # identity: declaration order, as cand already is
-                if ordering == "fcfs":
 
-                    def key(i):
-                        return (io_req[i], name_rank[i])
+            elif ordering == "identity":
 
-                elif ordering == "roundrobin":
+                def order(cand, time):
+                    return sorted(cand)
 
-                    def key(i):
-                        return (last_io_end[i], io_req[i], name_rank[i])
+            elif ordering == "roundrobin":
 
-                elif ordering != "identity":
+                def order(cand, time):
+                    return sorted(cand, key=last_io_end.__getitem__)
 
-                    def key(i):
+            elif ordering == "maxsyseff":
+
+                def order(cand, time):
+                    keys = {
+                        i: -(procs_f[i] * ach)
+                        for i, ach in zip(cand, achieved(cand, time))
+                    }
+                    return sorted(cand, key=keys.__getitem__)
+
+            else:
+                # MinMax: the starved (dilation ratio below gamma) by ratio,
+                # then the rest by MaxSysEff.  MinDilation, without a
+                # gamma, starves every candidate.
+
+                def order(cand, time):
+                    starved = {}
+                    rest = {}
+                    for i, ach in zip(cand, achieved(cand, time)):
                         opt = opt_cur[i]
-                        el = time - release[i]
-                        ach = executed[i] / el if el > _TIME_EPS else opt
-                        if ordering == "maxsyseff":
-                            return (-(procs_f[i] * ach), io_req[i], name_rank[i])
                         ratio = 1.0 if opt <= 0.0 else ach / opt
                         if ratio > 1.0:
                             ratio = 1.0
-                        if ordering == "mindilation":
-                            return (ratio, io_req[i], name_rank[i])
-                        # minmax: the starved first by dilation ratio, then
-                        # the rest by MaxSysEff.
-                        starved = ratio < minmax_gamma
-                        return (
-                            not starved,
-                            ratio if starved else -(procs_f[i] * ach),
-                            io_req[i],
-                            name_rank[i],
-                        )
+                        if minmax_gamma is None or ratio < minmax_gamma:
+                            starved[i] = ratio
+                        else:
+                            rest[i] = -(procs_f[i] * ach)
+                    ordered = sorted(starved, key=starved.__getitem__)
+                    if rest:
+                        ordered += sorted(rest, key=rest.__getitem__)
+                    return ordered
 
-                ordered = sorted(cand, key=key)
+            def favor_order(cand, time):
+                if len(cand) < 2:
+                    return cand
+                ordered = order(cand, time)
                 if priority:
                     # Stable partition: applications already transferring
-                    # first.
-                    isnan = math.isnan
-                    return [i for i in ordered if not isnan(io_first[i])] + [
-                        i for i in ordered if isnan(io_first[i])
-                    ]
+                    # (io_first set, so not NaN and equal to itself) first.
+                    started = []
+                    fresh = []
+                    for i in ordered:
+                        first = io_first[i]
+                        (started if first == first else fresh).append(i)
+                    return started + fresh
                 return ordered
 
-            def serve(cand, time):
-                active = [i for i in cand if rate[i] > 0.0]
-                for i in active:
-                    if math.isnan(io_first[i]):
+            def serve(cand, grants, time):
+                for i in grants:
+                    first = io_first[i]
+                    if first != first:  # NaN: the transfer starts now
                         io_first[i] = time
-                return active
+                return grants
 
             def horizon(active, time):
-                best = max(0.0, min(own_t) - time)
+                # Drop the stale entries above the earliest live own time.
+                while own_heap:
+                    t, i = own_heap[0]
+                    if own_t[i] == t:
+                        break
+                    heappop(own_heap)
+                best = max(0.0, own_heap[0][0] - time) if own_heap else math.inf
                 if active:
                     transfer = min([remaining[i] / rate[i] for i in active])
                     if transfer < best:
@@ -625,10 +764,13 @@ class Simulator:
                     moved = rate[i] * dt
                     if moved > rem:
                         moved = rem
-                    remaining[i] = rem - moved
+                    rem -= moved
+                    remaining[i] = rem
                     total_io[i] += moved
                     if recovering[i]:
                         recovery_io[i] += moved
+                    if rem <= _VOLUME_EPS:
+                        drained.append(i)
 
         else:
             procs_int = np.array(procs_i, dtype=np.int64)
@@ -649,7 +791,7 @@ class Simulator:
                 if ingest:
                     for r in cand_rates.tolist():
                         granted += r
-                return granted
+                return granted, None
 
             def favor_order(cand, time):
                 rate[cand] = 0.0
@@ -692,7 +834,7 @@ class Simulator:
                     order = order[fresh.argsort(kind="stable")]
                 return cand[order].tolist()
 
-            def serve(cand, time):
+            def serve(cand, grants, time):
                 # io_first is NaN until the first transfer and never later
                 # than now, so fmin stamps exactly the fresh ones.
                 active = cand[rate[cand] > 0.0]
@@ -747,7 +889,8 @@ class Simulator:
                     executed[i] += apps[i].instances[instance_idx[i]].work
                     request_io(i, time)
                 if remaining[i] <= _VOLUME_EPS:  # finite only in an I/O phase
-                    io_apps.discard(i)
+                    if scalar:
+                        queue.remove(i)
                     if recovering[i]:
                         finish_recovery(i, time)
                     else:
@@ -758,7 +901,7 @@ class Simulator:
         fault_brownout = 0.0
         fault_blackout = 0.0
         fault_stall = 0.0
-        time = min(app.release_time for app in apps)
+        time = min(static.release)
         n_events = 0
         n_allocations = 0
         time_bb_full = 0.0
@@ -795,18 +938,21 @@ class Simulator:
             if k:
                 n_allocations += 1
                 if bb is not None and bb.can_absorb():
-                    # Sequential sum in candidate (= declaration) order: the
-                    # reference accumulates the ingest total one rate at a
-                    # time, and float addition rounds per step.
-                    total_ingest = fair(cand, bb.ingest_capacity(), True)
+                    # Sequential sum in declaration order: the reference
+                    # accumulates the ingest total one rate at a time, and
+                    # float addition rounds per step.
+                    total_ingest, grants = fair(cand, bb.ingest_capacity(), True)
                 elif alloc_kind == "fairshare":
-                    fair(cand, interference.effective_bandwidth(available, k), False)
+                    _, grants = fair(
+                        cand, interference.effective_bandwidth(available, k), False
+                    )
                 else:
                     # Greedy favouring in priority order — an ordered
                     # sequential loop by definition (each grant rounds the
                     # remaining capacity before the next), mirroring
                     # bandwidth.favor_in_order float for float.
                     rem = available
+                    grants = []
                     for i in favor_order(cand, time):
                         if rem <= _BW_EPS:
                             break
@@ -819,37 +965,42 @@ class Simulator:
                         r = gamma * p
                         rate[i] = r
                         rem -= r
-                active = serve(cand, time)
+                        grants.append(i)
+                active = serve(cand, grants, time)
 
             # ---------------- find the next event -------------------------
             # Own transitions (release, compute end) and transfers of the
             # served candidates; everything else never moves on its own.
             best = horizon(active, time)
-            deltas = [best] if best < math.inf else []
-            if bb is not None:
-                transition = bb.next_transition(total_ingest)
-                if transition is not None:
-                    deltas.append(transition)
-            if timeline is not None:
-                boundary = timeline.next_boundary(time)
-                if boundary is not None:
-                    deltas.append(boundary - time)
-                crash_time = timeline.peek_crash_time()
-                if crash_time is not None:
-                    deltas.append(max(0.0, crash_time - time))
-            eligible = [d for d in deltas if d >= 0.0]
-            if not eligible:
-                if k:
-                    raise StallError(
-                        _stall_message(
-                            scheduler.name,
-                            [names[i] for i in cand],
-                            time,
-                            timeline,
+            if bb is None and timeline is None and best < math.inf:
+                # The horizon is the only (non-negative) delta.
+                dt = max(best, _TIME_EPS)
+            else:
+                deltas = [best] if best < math.inf else []
+                if bb is not None:
+                    transition = bb.next_transition(total_ingest)
+                    if transition is not None:
+                        deltas.append(transition)
+                if timeline is not None:
+                    boundary = timeline.next_boundary(time)
+                    if boundary is not None:
+                        deltas.append(boundary - time)
+                    crash_time = timeline.peek_crash_time()
+                    if crash_time is not None:
+                        deltas.append(max(0.0, crash_time - time))
+                eligible = [d for d in deltas if d >= 0.0]
+                if not eligible:
+                    if k:
+                        raise StallError(
+                            _stall_message(
+                                scheduler.name,
+                                [names[i] for i in sorted(cand)],
+                                time,
+                                timeline,
+                            )
                         )
-                    )
-                raise SimulationError("no future event but applications remain")
-            dt = max(min(eligible), _TIME_EPS)
+                    raise SimulationError("no future event but applications remain")
+                dt = max(min(eligible), _TIME_EPS)
 
             if time + dt > max_time:
                 dt = max_time - time

@@ -67,6 +67,7 @@ def _run_all(scenario, scheduler_name="MaxSysEff", config=None):
         ]
     assert results["batched"].records == results["reference"].records
     assert results["batched"].makespan == results["reference"].makespan
+    assert results["batched"].n_events == results["reference"].n_events
     assert logs["batched"] == logs["reference"]
     return results
 
@@ -275,3 +276,134 @@ class TestCrashTransitionTimes:
         crash = CrashEvent(app_name="worker", time=5.0, checkpoint_io=1e8)
         results = _run_all(self._scenario(crash), config=self.CONFIG)
         assert results["batched"].records["worker"].restarts == 0
+
+
+#: One scheduler per native ordering, with and without the Priority
+#: partition, plus the fair-share allocation.
+BOOKKEEPING_SCHEDULERS = (
+    "FCFS",
+    "RoundRobin",
+    "MaxSysEff",
+    "MinDilation",
+    "MinMax-0.5",
+    "FairShare",
+    "Priority-FCFS",
+    "Priority-MaxSysEff",
+    "Priority-MinMax-0.5",
+    "Priority-FairShare",
+)
+
+
+@pytest.mark.parametrize("scheduler", BOOKKEEPING_SCHEDULERS)
+class TestIncrementalBookkeeping:
+    """Boundaries of the state the transitions keep instead of rescanning:
+    the request-ordered I/O queue, the own-time heap and the drained list.
+
+    Names are declared out of alphabetical order, so a tie broken by
+    declaration index instead of name rank shows up as a diverging log.
+    """
+
+    CONFIG = SimulatorConfig(record_events=True, max_events=10_000)
+
+    def _faulted(self, apps, crashes=(), windows=()):
+        scenario = Scenario(platform=_platform(), applications=tuple(apps))
+        return scenario.with_faults(
+            FaultModel(windows=tuple(windows), crashes=tuple(crashes))
+        )
+
+    def test_same_instant_requests_tie_by_name_rank(self, scheduler):
+        # Equal work: every application requests I/O at the same instants,
+        # and 4 x 20 MB/s of demand oversubscribes the 20 MB/s back-end.
+        apps = [
+            Application.periodic(name, 20, work=10.0, io_volume=2e8, n_instances=3)
+            for name in ("zeta", "alpha", "mid", "beta")
+        ]
+        scenario = Scenario(platform=_platform(), applications=tuple(apps))
+        _run_all(scenario, scheduler, self.CONFIG)
+
+    def test_crash_during_io_requeues(self, scheduler):
+        apps = [
+            Application.periodic("zeta", 20, work=10.0, io_volume=4e8, n_instances=2),
+            Application.periodic("alpha", 20, work=10.0, io_volume=4e8, n_instances=2),
+            Application.periodic("mid", 30, work=12.0, io_volume=3e8, n_instances=2),
+        ]
+        crashes = (
+            # Pending or transferring at t=15 and t=15.5: re-queued behind
+            # the requests made since, then crashed again while recovering.
+            CrashEvent(app_name="alpha", time=15.0, checkpoint_io=1e8),
+            CrashEvent(app_name="zeta", time=15.5, checkpoint_io=2e8),
+            CrashEvent(app_name="alpha", time=18.0, checkpoint_io=1e8),
+        )
+        results = _run_all(self._faulted(apps, crashes), scheduler, self.CONFIG)
+        assert results["batched"].fault_stats.n_crashes == 3
+
+    @pytest.mark.parametrize("checkpoint_io", (0.0, 5e-7))
+    def test_negligible_checkpoint_drains_unserved(self, scheduler, checkpoint_io):
+        # A checkpoint of at most the volume slack is due at the crash
+        # instant without ever being served, here also inside a blackout
+        # where nobody is served.
+        apps = [
+            Application.periodic("zeta", 20, work=10.0, io_volume=4e8, n_instances=2),
+            Application.periodic("alpha", 20, work=25.0, io_volume=2e8, n_instances=2),
+        ]
+        crashes = (
+            CrashEvent(app_name="zeta", time=12.0, checkpoint_io=checkpoint_io),
+            CrashEvent(app_name="alpha", time=20.0, checkpoint_io=checkpoint_io),
+            CrashEvent(app_name="zeta", time=31.0, checkpoint_io=checkpoint_io),
+        )
+        windows = (BandwidthWindow(start=30.0, end=33.0, factor=0.0),)
+        results = _run_all(
+            self._faulted(apps, crashes, windows), scheduler, self.CONFIG
+        )
+        assert results["batched"].fault_stats.n_crashes == 3
+
+    def test_zero_work_and_zero_volume_instances(self, scheduler):
+        # Chains of instances that take no time (work at most the time
+        # slack, volume at most the volume slack) put several own-time
+        # entries of one application at one instant.
+        apps = [
+            Application.from_sequences(
+                "zeta", 20, works=[0.0, 5e-10, 3.0, 0.0], io_volumes=[5e-7, 0.0, 0.0, 1e8]
+            ),
+            Application.from_sequences(
+                "alpha", 20, works=[3.0, 0.0, 0.0], io_volumes=[0.0, 2e8, 5e-7]
+            ),
+            Application.from_sequences(
+                "mid", 30, works=[3.0, 3.0, 1e-10], io_volumes=[5e-7, 1e8, 0.0]
+            ),
+            Application.from_sequences(
+                "beta", 10, works=[0.0, 3.0], io_volumes=[1e8, 1e8], release_time=3.0
+            ),
+        ]
+        scenario = Scenario(platform=_platform(), applications=tuple(apps))
+        _run_all(scenario, scheduler, self.CONFIG)
+
+    def test_staggered_releases_at_the_first_events(self, scheduler):
+        # Releases closer together than the time slack, and zero-work first
+        # instances: the first requests come at an elapsed time of at most
+        # the slack, where the orderings use the optimal efficiency.
+        releases = (0.0, 4e-10, 1e-9, 1.6e-9, 2.5e-9, 1.0)
+        apps = [
+            Application.from_sequences(
+                name, 5 + 3 * k, works=[0.0, 2.0, 4.0], io_volumes=[1e8, 5e7, 1e8],
+                release_time=release,
+            )
+            for k, (name, release) in enumerate(
+                zip(("zeta", "alpha", "mid", "beta", "eta", "gamma"), releases)
+            )
+        ]
+        scenario = Scenario(platform=_platform(), applications=tuple(apps))
+        _run_all(scenario, scheduler, self.CONFIG)
+
+    @pytest.mark.parametrize("max_time", (0.5, 23.7, 61.0))
+    def test_truncated_run_keeps_the_event_log(self, scheduler, max_time):
+        apps = [
+            Application.periodic("zeta", 20, work=10.0, io_volume=2e8, n_instances=4),
+            Application.periodic(
+                "alpha", 30, work=7.0, io_volume=3e8, n_instances=3, release_time=2.0
+            ),
+            Application.periodic("mid", 10, work=4.0, io_volume=1e8, n_instances=5),
+        ]
+        crashes = (CrashEvent(app_name="mid", time=20.0, checkpoint_io=5e7),)
+        config = SimulatorConfig(record_events=True, max_time=max_time)
+        _run_all(self._faulted(apps, crashes), scheduler, config)

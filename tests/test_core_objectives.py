@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.objectives import (
@@ -135,3 +137,50 @@ class TestAggregates:
         # completion >= release + work + dedicated io  =>  dilation >= 1
         o = outcome(completion_time=151.0)
         assert application_dilation(o) >= 1.0
+
+
+class TestSummarizeMatchesEachObjective:
+    """``summarize`` scores each application once; its floats must equal the
+    per-objective functions' bit for bit, on real runs and degenerate ones."""
+
+    @staticmethod
+    def assert_bit_equal(outs, total=None):
+        summary = summarize(outs, total)
+        assert summary.system_efficiency == 100.0 * system_efficiency(outs, total)
+        assert summary.dilation == max_dilation(outs)
+        assert summary.upper_limit == 100.0 * system_efficiency_upper_limit(
+            outs, total
+        )
+        assert summary.mean_dilation == mean_dilation(outs)
+
+    @pytest.mark.parametrize("panel", ["10large-20", "50small5large-35"])
+    @pytest.mark.parametrize("max_time", [math.inf, 600.0])
+    def test_generated_mixes(self, panel, max_time):
+        from repro.core.platform import intrepid
+        from repro.online.registry import make_scheduler
+        from repro.simulator import SimulatorConfig, simulate
+        from repro.workload.generator import figure6_mix
+
+        config = SimulatorConfig(max_time=max_time)
+        for seed in range(3):
+            scenario = figure6_mix(panel, intrepid(), seed)
+            for name in ("MaxSysEff", "MinDilation", "FairShare"):
+                outs = simulate(scenario, make_scheduler(name), config).outcomes()
+                self.assert_bit_equal(outs)
+                self.assert_bit_equal(outs, 40_960)
+
+    def test_degenerate_outcomes(self):
+        outs = [
+            outcome(name="idle", completion_time=0.0),  # zero elapsed
+            outcome(name="stalled", executed_work=0.0, completion_time=20.0),
+            outcome(name="empty", executed_work=0.0, dedicated_io_time=0.0),
+            outcome(name="normal", processors=3, release_time=7.5),
+        ]
+        self.assert_bit_equal(outs)
+        assert summarize(outs).dilation == math.inf
+
+    def test_same_errors(self):
+        with pytest.raises(ValidationError, match="at least one outcome"):
+            summarize([])
+        with pytest.raises(ValidationError, match="total_processors"):
+            summarize([outcome()], 0)
