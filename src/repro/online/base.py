@@ -7,40 +7,78 @@ next receives the same out of what is left, and so on until the back-end
 bandwidth is exhausted (the remaining applications are stalled until the
 next event).
 
-Concrete heuristics therefore only implement :meth:`order_candidates`; the
-shared :meth:`allocate` turns the ordering into a feasible
+Concrete heuristics therefore only declare their rank, as a
+:class:`~repro.simulator.interface.GrantOrder` in :attr:`grant_order`.
+:meth:`order_candidates` interprets it over a view, and the shared
+:meth:`allocate` turns the ordering into a feasible
 :class:`~repro.core.allocation.BandwidthAllocation` through
-:func:`repro.simulator.bandwidth.favor_in_order`.  The ``Priority`` variants
-(:mod:`repro.online.priority`) re-order the output of an inner heuristic, so
-they compose with any of them.
+:func:`repro.simulator.bandwidth.favor_in_order`; the native kernels of
+:mod:`repro.simulator.engine` read the same declaration.  The ``Priority``
+variants (:mod:`repro.online.priority`) declare the inner heuristic's order
+with the started-first partition, so they compose with any of them.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Sequence
 
 from repro.core.allocation import BandwidthAllocation
 from repro.simulator.bandwidth import favor_in_order
-from repro.simulator.interface import ApplicationView, SystemView
+from repro.simulator.interface import ApplicationView, GrantOrder, SystemView
 
 __all__ = ["OnlineScheduler"]
 
 
-class OnlineScheduler(abc.ABC):
+#: Each :class:`GrantOrder` key as a sort key over views, ending in the
+#: shared ``(request time, name)`` tie-break cached on the view; ``None``
+#: keeps the candidates in the order the view lists them.
+_VIEW_KEYS = {
+    "request": lambda a: a.order_key,
+    "index": None,
+    "last_io_end": lambda a: (a.last_io_end, *a.order_key),
+    "ratio": lambda a: (a.efficiency_ratio, *a.order_key),
+    "syseff": lambda a: (-a.processors * a.achieved_efficiency, *a.order_key),
+}
+
+
+class OnlineScheduler:
     """Event-driven scheduler: rank I/O candidates, favour them greedily."""
 
     #: Human-readable name used in result tables; subclasses override.
     name: str = "online"
 
+    #: The rank :meth:`order_candidates` and the native kernels read;
+    #: subclasses override (the default is first-come first-served).
+    grant_order: GrantOrder = GrantOrder()
+
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
         """Return the I/O candidates of ``view`` ordered by decreasing priority.
 
-        Implementations must return a permutation of ``view.io_candidates()``
-        (dropping candidates is allowed and means "deliberately stall them").
+        The order is :attr:`grant_order`'s.  An override must return a
+        permutation of ``view.io_candidates()`` (dropping candidates is
+        allowed and means "deliberately stall them"); the scheduler then
+        runs on the reference engine.
         """
+        order = self.grant_order
+        key = _VIEW_KEYS[order.key]
+        candidates = view.io_candidates()
+        ordered: list[ApplicationView] = []
+        starve = order.starve_below
+        if starve > 0:
+            # The starved go first, most starved first; the rest follow in
+            # the declared order.
+            rest: list[ApplicationView] = []
+            for a in candidates:
+                (ordered if a.efficiency_ratio < starve else rest).append(a)
+            ordered.sort(key=_VIEW_KEYS["ratio"])
+            candidates = rest
+        ordered += candidates if key is None else sorted(candidates, key=key)
+        if order.started_first:
+            # Stable partition: the transfers already in flight first.
+            started = [a for a in ordered if a.io_started]
+            ordered = started + [a for a in ordered if not a.io_started]
+        return ordered
 
     # ------------------------------------------------------------------ #
     def allocate(self, view: SystemView) -> BandwidthAllocation:

@@ -31,13 +31,10 @@ heuristics.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 from repro.core.allocation import BandwidthAllocation
 from repro.online.base import OnlineScheduler
 from repro.simulator.bandwidth import fair_share
-from repro.simulator.interface import ApplicationView, SystemView
+from repro.simulator.interface import GrantOrder, SystemView
 from repro.simulator.interference import (
     DEFAULT_INTERFERENCE,
     InterferenceModel,
@@ -69,6 +66,9 @@ class FairShare(OnlineScheduler):
     """
 
     name = "FairShare"
+    #: Fair sharing ignores the order; ``Priority(FairShare())`` favours
+    #: the candidates in the order the scenario lists them.
+    grant_order = GrantOrder(key="index")
 
     def __init__(
         self,
@@ -78,10 +78,6 @@ class FairShare(OnlineScheduler):
         if name is not None:
             self.name = name
         self.interference = interference if interference is not None else DEFAULT_INTERFERENCE
-
-    def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
-        # Ordering is irrelevant for fair sharing; keep the candidates as-is.
-        return view.io_candidates()
 
     def allocate(self, view: SystemView) -> BandwidthAllocation:
         candidates = view.io_candidates()
@@ -99,13 +95,8 @@ class FCFS(OnlineScheduler):
     """Strict first-come first-served service of entire I/O phases."""
 
     name = "FCFS"
-
-    def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
-        def key(a: ApplicationView) -> tuple[float, str]:
-            req = a.io_request_time if a.io_request_time is not None else math.inf
-            return (req, a.name)
-
-        return sorted(view.io_candidates(), key=key)
+    #: The default order: request time, then name.
+    grant_order = GrantOrder()
 
 
 def intrepid_scheduler(interference: InterferenceModel | None = None) -> FairShare:

@@ -16,27 +16,23 @@ back-end is over-subscribed":
 * :class:`MinMaxGamma` — MaxSysEff, unless some application's progress ratio
   has dropped below a threshold ``gamma`` (set by the administrator), in
   which case the most-starved application goes first.  ``gamma = 0`` is
-  exactly MaxSysEff; ``gamma = 1`` is exactly MinDilation.
+  exactly MaxSysEff (ratios are never negative), but ``gamma = 1`` is not
+  MinDilation: unslowed applications (ratio 1, not below 1) still go by
+  the MaxSysEff criterion.
 
-All orderings resolve ties deterministically (request time, then name) so
-simulations are reproducible.
+Each heuristic declares its rank as a
+:class:`~repro.simulator.interface.GrantOrder`; every rank ends in the
+same deterministic tie-break (request time, then name), so simulations are
+reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.online.base import OnlineScheduler
-from repro.simulator.interface import ApplicationView, SystemView
+from repro.simulator.interface import GrantOrder
 from repro.utils.validation import check_in_range
 
 __all__ = ["RoundRobin", "MinDilation", "MaxSysEff", "MinMaxGamma"]
-
-
-# Every sort key below ends with the same deterministic tie-break pair:
-# earlier I/O request first (inf when no request is pending), then name.
-# The pair is cached on the view (`ApplicationView.order_key`), so repeated
-# sorts of one event look it up rather than rebuild the tuple.
 
 
 class RoundRobin(OnlineScheduler):
@@ -51,11 +47,7 @@ class RoundRobin(OnlineScheduler):
 
     name = "RoundRobin"
 
-    def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
-        return sorted(
-            view.io_candidates(),
-            key=lambda a: (a.last_io_end, *a.order_key),
-        )
+    grant_order = GrantOrder(key="last_io_end")
 
 
 class MinDilation(OnlineScheduler):
@@ -63,11 +55,7 @@ class MinDilation(OnlineScheduler):
 
     name = "MinDilation"
 
-    def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
-        return sorted(
-            view.io_candidates(),
-            key=lambda a: (a.efficiency_ratio, *a.order_key),
-        )
+    grant_order = GrantOrder(key="ratio")
 
 
 class MaxSysEff(OnlineScheduler):
@@ -95,11 +83,7 @@ class MaxSysEff(OnlineScheduler):
 
     name = "MaxSysEff"
 
-    def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
-        return sorted(
-            view.io_candidates(),
-            key=lambda a: (-a.processors * a.achieved_efficiency, *a.order_key),
-        )
+    grant_order = GrantOrder(key="syseff")
 
 
 class MinMaxGamma(OnlineScheduler):
@@ -113,24 +97,14 @@ class MinMaxGamma(OnlineScheduler):
     ----------
     gamma:
         Threshold in ``[0, 1]``.  The paper evaluates 0.25, 0.5 and 0.75 in
-        Tables 1–2 and uses 0.27 in Figure 6.
+        Tables 1–2.  This repository's Figure 6 (``FIGURE6_SCHEDULERS``,
+        ``examples/specs/figure6.toml``) runs MinMax-0.5; the threshold of
+        0.27 sometimes quoted for the paper's Figure 6 is not checked against
+        the paper's text.
     """
 
     def __init__(self, gamma: float):
         self.gamma = check_in_range("gamma", gamma, 0.0, 1.0)
         self.name = f"MinMax-{self.gamma:g}"
+        self.grant_order = GrantOrder(key="syseff", starve_below=self.gamma)
 
-    def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
-        # Single partition pass (the ratio is computed once per candidate),
-        # then each side sorts on its own criterion.
-        starved: list[ApplicationView] = []
-        healthy: list[ApplicationView] = []
-        gamma = self.gamma
-        for a in view.io_candidates():
-            (starved if a.efficiency_ratio < gamma else healthy).append(a)
-        starved.sort(key=lambda a: (a.efficiency_ratio, *a.order_key))
-        healthy.sort(
-            key=lambda a: (-a.processors * a.achieved_efficiency, *a.order_key)
-        )
-        starved.extend(healthy)
-        return starved

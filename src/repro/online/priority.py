@@ -8,17 +8,19 @@ before favouring any other application".  On SSD-based systems the original
 heuristics can be used as-is — this wrapper is exactly the extra constraint
 the paper pays on Intrepid/Mira/Vesta, which use spinning disks.
 
-The wrapper composes with any :class:`~repro.online.base.OnlineScheduler`:
-it takes the inner ordering and stably partitions it so that applications
-with a transfer already in flight come first.
+The wrapper composes with any :class:`~repro.online.base.OnlineScheduler`
+that declares its order: it declares the inner
+:class:`~repro.simulator.interface.GrantOrder` with ``started_first``, a
+stable partition that puts applications with a transfer already in flight
+first.  An inner scheduler that overrides ``order_candidates`` declares no
+order, and is refused.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import replace
 
 from repro.online.base import OnlineScheduler
-from repro.simulator.interface import ApplicationView, SystemView
 
 __all__ = ["Priority"]
 
@@ -29,7 +31,8 @@ class Priority(OnlineScheduler):
     Parameters
     ----------
     inner:
-        The heuristic providing the underlying priority order.
+        The heuristic providing the underlying priority order; it must not
+        override ``order_candidates``.
     """
 
     def __init__(self, inner: OnlineScheduler):
@@ -39,17 +42,12 @@ class Priority(OnlineScheduler):
             )
         if isinstance(inner, Priority):
             raise TypeError("Priority wrappers do not nest")
+        if type(inner).order_candidates is not OnlineScheduler.order_candidates:
+            raise TypeError(f"{type(inner).__name__} overrides order_candidates, so it "
+                            "declares no grant order for Priority to partition")
         self.inner = inner
         self.name = f"Priority-{inner.name}"
-
-    def order_candidates(self, view: SystemView) -> Sequence[ApplicationView]:
-        # Single stable partition pass over the inner ordering.
-        started: list[ApplicationView] = []
-        fresh: list[ApplicationView] = []
-        for a in self.inner.order_candidates(view):
-            (started if a.io_started else fresh).append(a)
-        started.extend(fresh)
-        return started
+        self.grant_order = replace(inner.grant_order, started_first=True)
 
     def reset(self) -> None:
         self.inner.reset()

@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     from repro.simulator.interface import (
         ApplicationPhase,
         ApplicationView,
+        GrantOrder,
         SchedulerProtocol,
         SystemView,
     )
@@ -54,6 +55,7 @@ __all__ = [
     "StallError",
     "ApplicationPhase",
     "ApplicationView",
+    "GrantOrder",
     "SystemView",
     "SchedulerProtocol",
     "BandwidthAllocation",

@@ -72,16 +72,16 @@ kernels in two ways:
   on evaluation order (the greedy favouring loop, the burst-buffer ingest
   total, per-run recovery-I/O sums) stay as ordered Python loops exactly
   mirroring the reference;
-* the scheduler policies are dispatched **by exact type** onto native
-  orderings, all ending in the shared ``(request time, name)`` tie-break,
-  which makes the order total: ``np.lexsort`` over the columns, or a
-  stable ``sorted`` of the request-ordered queue by the policy's primary
-  key (FCFS is the queue itself).  Any scheduler outside the built-in
-  set — subclasses and custom
-  :class:`~repro.simulator.interface.SchedulerProtocol` objects — runs
-  the whole scenario on the reference engine instead, which handles
-  arbitrary schedulers; each such run is counted as
-  ``repro_engine_fallback_total``.
+* each kernel compiles the scheduler's
+  :class:`~repro.simulator.interface.GrantOrder` once per run, every key
+  ending in the shared ``(request time, name)`` tie-break, which makes the
+  order total: one ``np.lexsort`` over the columns, or a stable ``sorted``
+  of the request-ordered queue by the primary key (FCFS is the queue
+  itself).  A scheduler that overrides ``order_candidates`` or
+  ``allocate`` (but for FairShare's), or a custom
+  :class:`~repro.simulator.interface.SchedulerProtocol` object, runs the
+  whole scenario on the reference engine instead, which handles arbitrary
+  schedulers; each such run is counted as ``repro_engine_fallback_total``.
 
 ``tests/test_engine_equivalence.py``, ``tests/test_batched_edge_cases.py``
 and the differential fuzz suite (``tests/test_engine_differential.py``)
@@ -104,6 +104,8 @@ from repro.core.events import Event, EventLog, EventType
 from repro.core.scenario import Scenario
 from repro.faults.model import FaultTimeline
 from repro.obs.telemetry import recorder as _obs_recorder
+from repro.online.base import OnlineScheduler
+from repro.online.baselines import FairShare
 from repro.simulator.burst_buffer import BurstBufferState
 from repro.simulator.interface import SchedulerProtocol
 from repro.simulator.metrics import (
@@ -207,76 +209,19 @@ _DONE = 3
 #: docstring and the per-width table in docs/performance.md.
 _SCALAR_MAX_APPS = 80
 
-#: Heuristics whose ``allocate`` is the shared greedy favouring loop and
-#: whose ordering reduces to a native ordering.  Keys are *exact* types: a
-#: subclass may override anything, so it must take the reference path.
-#: Populated lazily — the scheduler modules import the simulator package,
-#: so importing them at module scope would be circular.
-_FAVOR_ORDERINGS: dict[type, str] = {}
-_POLICY_TYPES: dict[str, type] = {}
-
-
-def _policy_types() -> dict[str, type]:
-    if not _POLICY_TYPES:
-        from repro.online.baselines import FCFS, FairShare
-        from repro.online.heuristics import (
-            MaxSysEff,
-            MinDilation,
-            MinMaxGamma,
-            RoundRobin,
-        )
-        from repro.online.priority import Priority
-
-        _FAVOR_ORDERINGS.update(
-            {
-                RoundRobin: "roundrobin",
-                MinDilation: "mindilation",
-                MaxSysEff: "maxsyseff",
-                FCFS: "fcfs",
-            }
-        )
-        _POLICY_TYPES.update(
-            {
-                "fairshare": FairShare,
-                "minmax": MinMaxGamma,
-                "priority": Priority,
-            }
-        )
-    return _POLICY_TYPES
-
-
-def _native_policy(scheduler: SchedulerProtocol):
-    """Classify ``scheduler`` for the native kernels, or ``None`` if unknown.
-
-    Returns ``(alloc, ordering, priority, gamma)`` where ``alloc`` is
-    ``"favor"`` or ``"fairshare"``, ``ordering`` names the candidate order,
-    ``priority`` requests the stable started-first partition and ``gamma``
-    is the MinMax threshold (``None`` otherwise).
-    """
-    types = _policy_types()
-    fair_share_t = types["fairshare"]
-    minmax_t = types["minmax"]
-    priority_t = types["priority"]
-    t = type(scheduler)
-    if t is fair_share_t:
-        # FairShare overrides allocate() itself (interference-degraded
-        # water-filling); ordering is irrelevant.
-        return ("fairshare", None, False, None)
-    if t is minmax_t:
-        return ("favor", "minmax", False, scheduler.gamma)
-    if t in _FAVOR_ORDERINGS:
-        return ("favor", _FAVOR_ORDERINGS[t], False, None)
-    if t is priority_t:
-        inner = scheduler.inner
-        it = type(inner)
-        if it is fair_share_t:
-            # Priority inherits the generic allocate(), so the inner
-            # FairShare only contributes its identity candidate ordering.
-            return ("favor", "identity", True, None)
-        if it is minmax_t:
-            return ("favor", "minmax", True, inner.gamma)
-        if it in _FAVOR_ORDERINGS:
-            return ("favor", _FAVOR_ORDERINGS[it], True, None)
+def _native_fair(scheduler: SchedulerProtocol) -> Optional[bool]:
+    """``True`` if the kernels run ``scheduler`` as FairShare, ``False`` as
+    greedy favouring in its ``grant_order``, ``None`` if they cannot: it is
+    no ``OnlineScheduler``, or it overrides ``order_candidates`` or (but for
+    FairShare's) ``allocate``."""
+    cls = type(scheduler)
+    if getattr(cls, "order_candidates", None) is not OnlineScheduler.order_candidates:
+        return None
+    allocate = cls.allocate
+    if allocate is OnlineScheduler.allocate:
+        return False
+    if allocate is FairShare.allocate:
+        return True
     return None
 
 
@@ -377,13 +322,13 @@ class Simulator:
         self, scheduler: SchedulerProtocol, event_log: EventLog | None = None
     ) -> SimulationResult:
         """Simulate the scenario to completion under ``scheduler``."""
-        policy = _native_policy(scheduler)
-        if policy is None:
-            # Unknown policy (custom scheduler or subclass): the native
-            # kernels cannot reproduce an arbitrary allocate(), so the
-            # reference engine, which drives any scheduler through views,
-            # runs the whole scenario.  Imported here: the reference
-            # imports this module's config and errors.
+        fair = _native_fair(scheduler)
+        if fair is None:
+            # The native kernels cannot reproduce an arbitrary allocate()
+            # or order_candidates(), so the reference engine, which drives
+            # any scheduler through views, runs the whole scenario.
+            # Imported here: the reference imports this module's config and
+            # errors.
             from repro.simulator.reference import ReferenceSimulator
 
             _OBS.count(
@@ -393,21 +338,22 @@ class Simulator:
                 scheduler, event_log=event_log
             )
         if len(self.scenario) <= _SCALAR_MAX_APPS:
-            return self._run(scheduler, policy, event_log, scalar=True)
+            return self._run(scheduler, fair, event_log, scalar=True)
         # Masked-out divisions in the columnar ordering passes would warn:
         # one errstate per run instead of one per event.
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self._run(scheduler, policy, event_log, scalar=False)
+            return self._run(scheduler, fair, event_log, scalar=False)
 
     def _run(
         self,
-        scheduler: SchedulerProtocol,
-        policy: tuple,
+        scheduler: OnlineScheduler,
+        fair_alloc: bool,
         event_log: EventLog | None,
         scalar: bool,
     ) -> SimulationResult:
-        """One run on the scalar kernel (``scalar``) or the columnar one."""
-        alloc_kind, ordering, priority, minmax_gamma = policy
+        """One run on the scalar kernel (``scalar``) or the columnar one,
+        sharing bandwidth fairly (``fair_alloc``) or greedily in the
+        scheduler's grant order."""
 
         scheduler.reset()
         config = self.config
@@ -419,7 +365,11 @@ class Simulator:
         system_bw = float(platform.system_bandwidth)
         names = static.names
         index_of = static.index_of
-        interference = scheduler.interference if alloc_kind == "fairshare" else None
+        interference = scheduler.interference if fair_alloc else None
+        grant = scheduler.grant_order
+        starve = grant.starve_below
+        reads_efficiency = grant.reads_efficiency
+        started_first = grant.started_first
 
         def column(values, dtype=np.float64):
             """One per-application column from a fresh list: the list itself
@@ -663,10 +613,10 @@ class Simulator:
                     granted += r
                 return granted, cand
 
-            # The orderings: each is a stable sort of the request-ordered
-            # queue by its primary key, which equals sorted() on the full
-            # (primary, request time, name rank) key because name ranks are
-            # unique.
+            # The grant order, compiled once per run: one primary key per
+            # candidate, then a stable sort of the request-ordered queue,
+            # which equals sorted() on the full (primary, request time, name
+            # rank) key because name ranks are unique.
             def achieved(cand, time):
                 """The candidates' achieved efficiencies, as the reference's
                 views compute them."""
@@ -676,57 +626,53 @@ class Simulator:
                     for i in cand
                 ]
 
-            if ordering == "fcfs":
+            def ratios(cand, ach):
+                """The candidates' progress ratios by index, as the views
+                compute them."""
+                out = {}
+                for i, a in zip(cand, ach):
+                    opt = opt_cur[i]
+                    ratio = 1.0 if opt <= 0.0 else a / opt
+                    out[i] = 1.0 if ratio > 1.0 else ratio
+                return out
 
-                def order(cand, time):
-                    return cand
-
-            elif ordering == "identity":
-
-                def order(cand, time):
-                    return sorted(cand)
-
-            elif ordering == "roundrobin":
-
-                def order(cand, time):
-                    return sorted(cand, key=last_io_end.__getitem__)
-
-            elif ordering == "maxsyseff":
-
-                def order(cand, time):
-                    keys = {
-                        i: -(procs_f[i] * ach)
-                        for i, ach in zip(cand, achieved(cand, time))
-                    }
-                    return sorted(cand, key=keys.__getitem__)
-
-            else:
-                # MinMax: the starved (dilation ratio below gamma) by ratio,
-                # then the rest by MaxSysEff.  MinDilation, without a
-                # gamma, starves every candidate.
-
-                def order(cand, time):
-                    starved = {}
-                    rest = {}
-                    for i, ach in zip(cand, achieved(cand, time)):
-                        opt = opt_cur[i]
-                        ratio = 1.0 if opt <= 0.0 else ach / opt
-                        if ratio > 1.0:
-                            ratio = 1.0
-                        if minmax_gamma is None or ratio < minmax_gamma:
-                            starved[i] = ratio
-                        else:
-                            rest[i] = -(procs_f[i] * ach)
-                    ordered = sorted(starved, key=starved.__getitem__)
-                    if rest:
-                        ordered += sorted(rest, key=rest.__getitem__)
-                    return ordered
+            # Each GrantOrder key as the candidates' primary keys by index
+            # (None: the queue's own order).
+            primary = {
+                "request": lambda cand, ach: None,
+                "index": lambda cand, ach: range(n),
+                "last_io_end": lambda cand, ach: last_io_end,
+                "ratio": ratios,
+                "syseff": lambda cand, ach: {i: -(procs_f[i] * a) for i, a in zip(cand, ach)},
+            }[grant.key]
 
             def favor_order(cand, time):
                 if len(cand) < 2:
                     return cand
-                ordered = order(cand, time)
-                if priority:
+                ach = achieved(cand, time) if reads_efficiency else None
+                head = []
+                if starve:
+                    # The starved (ratio below the threshold) first, by
+                    # ratio; the rest by the key.  The threshold is at most
+                    # 1, so a ratio below it needs no clamping.
+                    starved = {}
+                    rest = []
+                    rest_ach = []
+                    for i, a in zip(cand, ach):
+                        opt = opt_cur[i]
+                        ratio = 1.0 if opt <= 0.0 else a / opt
+                        if ratio < starve:
+                            starved[i] = ratio
+                        else:
+                            rest.append(i)
+                            rest_ach.append(a)
+                    head = sorted(starved, key=starved.__getitem__)
+                    cand, ach = rest, rest_ach
+                key = primary(cand, ach)
+                ordered = cand if key is None else sorted(cand, key=key.__getitem__)
+                if head:
+                    ordered = head + ordered
+                if started_first:
                     # Stable partition: applications already transferring
                     # (io_first set, so not NaN and equal to itself) first.
                     started = []
@@ -793,46 +739,43 @@ class Simulator:
                         granted += r
                 return granted, None
 
+            # Division by a zero elapsed time or optimum is masked out by
+            # the np.where; run()'s errstate hushes it.
+            def achieved(cand, time):
+                el = time - release[cand]
+                return np.where(el > _TIME_EPS, executed[cand] / el, opt_cur[cand])
+
+            def ratios(cand, ach):
+                opt = opt_cur[cand]
+                return np.where(opt <= 0.0, 1.0, np.minimum(1.0, ach / opt))
+
+            # Each GrantOrder key as the candidates' primary-key column.
+            primary = {
+                "request": lambda cand, ach: io_req[cand],
+                "index": lambda cand, ach: cand,
+                "last_io_end": lambda cand, ach: last_io_end[cand],
+                "ratio": ratios,
+                "syseff": lambda cand, ach: -(procs_f[cand] * ach),
+            }[grant.key]
+
             def favor_order(cand, time):
+                # The whole grant order is one lexsort, least significant
+                # key first.
                 rate[cand] = 0.0
-                if ordering == "identity":
-                    order = np.arange(cand.size)
+                ach = achieved(cand, time) if reads_efficiency else None
+                key = primary(cand, ach)
+                keys = [name_rank[cand], io_req[cand]]
+                if starve:
+                    # The starved group first, ranked by ratio.
+                    ratio = ratios(cand, ach)
+                    starved = ratio < starve
+                    keys += [np.where(starved, ratio, key), ~starved]
                 else:
-                    nm = name_rank[cand]
-                    req = io_req[cand]
-                    if ordering == "fcfs":
-                        order = np.lexsort((nm, req))
-                    elif ordering == "roundrobin":
-                        order = np.lexsort((nm, req, last_io_end[cand]))
-                    else:
-                        # Division by a zero elapsed time or optimum is
-                        # masked out by the np.where; run()'s errstate
-                        # hushes it.
-                        opt = opt_cur[cand]
-                        el = time - release[cand]
-                        ach = np.where(el > _TIME_EPS, executed[cand] / el, opt)
-                        if ordering == "maxsyseff":
-                            order = np.lexsort((nm, req, -(procs_f[cand] * ach)))
-                        else:
-                            ratio = np.where(
-                                opt <= 0.0, 1.0, np.minimum(1.0, ach / opt)
-                            )
-                            if ordering == "mindilation":
-                                order = np.lexsort((nm, req, ratio))
-                            else:
-                                # minmax: one lexsort with the group as
-                                # primary key and a per-group key.
-                                starved = ratio < minmax_gamma
-                                key = np.where(
-                                    starved, ratio, -(procs_f[cand] * ach)
-                                )
-                                order = np.lexsort((nm, req, key, ~starved))
-                if priority:
-                    # Stable partition: applications already transferring
-                    # first.
-                    fresh = np.isnan(io_first[cand[order]])
-                    order = order[fresh.argsort(kind="stable")]
-                return cand[order].tolist()
+                    keys.append(key)
+                if started_first:
+                    # Applications already transferring first.
+                    keys.append(np.isnan(io_first[cand]))
+                return cand[np.lexsort(keys)].tolist()
 
             def serve(cand, grants, time):
                 # io_first is NaN until the first transfer and never later
@@ -942,7 +885,7 @@ class Simulator:
                     # accumulates the ingest total one rate at a time, and
                     # float addition rounds per step.
                     total_ingest, grants = fair(cand, bb.ingest_capacity(), True)
-                elif alloc_kind == "fairshare":
+                elif fair_alloc:
                     _, grants = fair(
                         cand, interference.effective_bandwidth(available, k), False
                     )

@@ -21,8 +21,11 @@ from typing import Optional, Protocol, runtime_checkable
 
 from repro.core.allocation import BandwidthAllocation
 from repro.core.platform import Platform
+from repro.utils.validation import ValidationError, check_in_range
 
-__all__ = ["ApplicationPhase", "ApplicationView", "SystemView", "SchedulerProtocol"]
+__all__ = [
+    "ApplicationPhase", "ApplicationView", "GrantOrder", "SystemView", "SchedulerProtocol",
+]
 
 
 class ApplicationPhase(enum.Enum):
@@ -189,6 +192,55 @@ class SystemView:
             for a in self.io_candidates()
         )
         return demand > self.available_bandwidth * (1 + 1e-12)
+
+
+#: The primary keys a :class:`GrantOrder` may rank on, each mapped to
+#: whether it reads the candidates' achieved efficiency.
+GRANT_KEYS: dict[str, bool] = {
+    "request": False, "index": False, "last_io_end": False, "ratio": True, "syseff": True,
+}
+
+
+@dataclass(frozen=True)
+class GrantOrder:
+    """The order in which a favouring heuristic grants bandwidth, as data:
+    the view interpreter (``OnlineScheduler.order_candidates``) and both
+    native kernels of :mod:`repro.simulator.engine` read it.
+
+    Candidates are ranked by ``key``, ascending:
+
+    * ``"request"`` — the request time alone (FCFS);
+    * ``"index"`` — the order the scenario lists the applications in, with
+      no tie-break (FairShare, read only under ``Priority``);
+    * ``"last_io_end"`` — end of the last completed I/O (RoundRobin);
+    * ``"ratio"`` — the progress ratio ``rho_tilde / rho`` (MinDilation);
+    * ``"syseff"`` — ``-(processors * achieved_efficiency)`` (MaxSysEff).
+
+    Every key but ``"index"`` ends in the shared ``(request time, name)``
+    tie-break, so the order is total.  Candidates whose progress ratio is
+    below ``starve_below`` go first, by ratio (MinMax's ``gamma``).  With
+    ``started_first``, a stable partition then puts the candidates whose
+    transfer has already started ahead of the rest (``Priority``).
+    """
+
+    key: str = "request"
+    starve_below: float = 0.0
+    started_first: bool = False
+
+    def __post_init__(self) -> None:
+        if self.key not in GRANT_KEYS:
+            raise ValidationError(f"unknown grant order key {self.key!r}; "
+                                  f"expected one of {sorted(GRANT_KEYS)}")
+        # Stored as a float, so the kernels compare plain floats.
+        starve = check_in_range("starve_below", self.starve_below, 0.0, 1.0)
+        object.__setattr__(self, "starve_below", starve)
+        if not isinstance(self.started_first, bool):
+            raise ValidationError(f"started_first must be a bool, got {self.started_first!r}")
+
+    @property
+    def reads_efficiency(self) -> bool:
+        """True when ranking needs the candidates' achieved efficiency."""
+        return GRANT_KEYS[self.key] or self.starve_below > 0
 
 
 @runtime_checkable

@@ -17,9 +17,10 @@ It is kept (and must stay behaviourally frozen) for three reasons:
 * ``benchmarks/engine_bench.py`` uses it as the baseline when
   reporting the optimized engine's events/sec speedup in ``BENCH_engine.json``;
 * :func:`repro.simulator.engine.simulate` runs a scenario here when the
-  scheduler has no vectorized kernel (a custom
-  :class:`~repro.simulator.interface.SchedulerProtocol` or a subclass of a
-  built-in policy), since this engine drives any scheduler through views.
+  native kernels cannot reproduce the scheduler (a custom
+  :class:`~repro.simulator.interface.SchedulerProtocol`, or an
+  ``OnlineScheduler`` that overrides ``order_candidates`` or ``allocate``),
+  since this engine drives any scheduler through views.
 
 Call :func:`repro.simulator.engine.simulate` rather than this module: it
 produces the same results and picks this engine only when it must.

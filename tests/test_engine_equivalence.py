@@ -21,12 +21,13 @@ import numpy as np
 import pytest
 
 from repro.core.application import Application
+from repro.core.events import EventLog
 from repro.core.platform import BurstBufferSpec, Platform
 from repro.core.scenario import Scenario
 from repro.faults import BandwidthWindow, CrashEvent, FaultModel
-from repro.core.events import EventLog
 from repro.online.registry import available_schedulers, make_scheduler
 from repro.simulator.engine import SimulatorConfig, simulate
+from repro.simulator.interface import GRANT_KEYS, GrantOrder
 from repro.simulator.reference import reference_simulate
 
 #: Every test runs once on each native kernel (scalar and columnar); see
@@ -406,24 +407,53 @@ class TestReferenceFallback:
         yield rec
         rec.reset()
 
-    def test_subclass_falls_back_bit_identically(self, rec):
-        from repro.online.heuristics import MaxSysEff
-
-        class TunedMaxSysEff(MaxSysEff):
-            pass
-
+    @staticmethod
+    def _assert_identical(scheduler, oracle_scheduler):
         scenario = random_scenario(2)
         faulted = scenario.with_faults(random_fault_model(2, scenario))
         config = SimulatorConfig(record_events=True)
         log, oracle_log = EventLog(), EventLog()
-        result = simulate(faulted, TunedMaxSysEff(), config, log)
-        oracle = reference_simulate(faulted, MaxSysEff(), config, oracle_log)
-        assert self._fallbacks(rec) == {"TunedMaxSysEff": 1.0}
+        result = simulate(faulted, scheduler, config, log)
+        oracle = reference_simulate(faulted, oracle_scheduler, config, oracle_log)
         assert result.records == oracle.records
         assert result.makespan == oracle.makespan
         assert result.n_events == oracle.n_events
         assert result.fault_stats == oracle.fault_stats
         assert list(log) == list(oracle_log)
+
+    def test_bare_subclass_runs_natively(self, rec):
+        from repro.online.heuristics import MaxSysEff
+
+        class TunedMaxSysEff(MaxSysEff):
+            pass
+
+        self._assert_identical(TunedMaxSysEff(), MaxSysEff())
+        assert self._fallbacks(rec) == {}
+
+    @pytest.mark.parametrize("started_first", [False, True])
+    @pytest.mark.parametrize("starve_below", [0.0, 0.5])
+    @pytest.mark.parametrize("key", sorted(GRANT_KEYS))
+    def test_every_declared_order_runs_natively(
+        self, rec, key, starve_below, started_first
+    ):
+        from repro.online.base import OnlineScheduler
+
+        class Declared(OnlineScheduler):
+            name = "declared"
+            grant_order = GrantOrder(key, starve_below, started_first)
+
+        self._assert_identical(Declared(), Declared())
+        assert self._fallbacks(rec) == {}
+
+    def test_order_override_falls_back_bit_identically(self, rec):
+        from repro.online.heuristics import MaxSysEff
+
+        class ReversedMaxSysEff(MaxSysEff):
+            def order_candidates(self, view):
+                return super().order_candidates(view)[::-1]
+
+        self._assert_identical(ReversedMaxSysEff(), ReversedMaxSysEff())
+        assert self._fallbacks(rec) == {"ReversedMaxSysEff": 1.0}
 
     @pytest.mark.parametrize("prefix", ["", "Priority-"])
     @pytest.mark.parametrize(

@@ -18,7 +18,12 @@ from repro.online.registry import (
     paper_heuristics,
     tables_suite,
 )
-from repro.simulator.interface import ApplicationPhase, ApplicationView, SystemView
+from repro.simulator.interface import (
+    ApplicationPhase,
+    ApplicationView,
+    GrantOrder,
+    SystemView,
+)
 from repro.utils.validation import ValidationError
 
 
@@ -192,6 +197,24 @@ class TestPriority:
     def test_requires_online_scheduler(self):
         with pytest.raises(TypeError):
             Priority("MaxSysEff")
+
+    def test_requires_a_declared_order(self):
+        class Reversed(MaxSysEff):
+            def order_candidates(self, v):
+                return super().order_candidates(v)[::-1]
+
+        with pytest.raises(TypeError, match="declares no grant order"):
+            Priority(Reversed())
+
+    def test_declares_the_inner_order_started_first(self):
+        assert Priority(MinMaxGamma(0.25)).grant_order == GrantOrder(
+            key="syseff", starve_below=0.25, started_first=True
+        )
+        # A bare subclass keeps its parent's declaration.
+        class Tuned(RoundRobin):
+            pass
+
+        assert Priority(Tuned()).grant_order.key == "last_io_end"
 
     def test_name(self):
         assert Priority(MaxSysEff()).name == "Priority-MaxSysEff"

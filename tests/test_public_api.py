@@ -156,7 +156,8 @@ PUBLIC_API: dict[str, dict[str, tuple[str, ...]]] = {
             "SimulationError", "Simulator", "SimulatorConfig", "StallError", "simulate",
         ),
         "repro.simulator.interface": (
-            "ApplicationPhase", "ApplicationView", "SchedulerProtocol", "SystemView",
+            "ApplicationPhase", "ApplicationView", "GrantOrder", "SchedulerProtocol",
+            "SystemView",
         ),
         "repro.simulator.interference": (
             "DEFAULT_INTERFERENCE", "InterferenceModel", "NO_INTERFERENCE",
