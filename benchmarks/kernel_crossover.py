@@ -15,50 +15,51 @@ tables of ``docs/performance.md`` as Markdown:
 Each cell runs the synthetic scaling scenario of
 ``benchmarks/engine_bench.py`` (3× oversubscribed, so about two thirds of
 the applications are I/O candidates at once) up to ``cell_horizon``'s
-event budget, on each kernel in turn (interleaved, ``--repeats`` times),
+event budget, on each kernel in turn (interleaved, ``REPEATS`` times),
 by moving the crossover the way the ``engine_kernel`` test fixture does;
 the cell reports the medians.  The last line applies the rule that chose
 the constant: the widest width up to which no policy runs more than 10%
 slower on the scalar kernel.
 
     PYTHONPATH=src python benchmarks/kernel_crossover.py
-    PYTHONPATH=src python benchmarks/kernel_crossover.py --widths 55 80 100 --repeats 5
 
-Exit status 1 when the two kernels disagree on a cell's event count or
-makespan (a correctness regression, not a slow run); 2 on bad arguments.
+The tables' inputs are the module constants below.  Exit status 1 when the
+two kernels disagree on a cell's event count or makespan (a correctness
+regression, not a slow run).
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import statistics
 import sys
 import time
 
+from engine_bench import cell_horizon, scaling_scenario
+from repro.online.registry import make_scheduler
+from repro.simulator import engine
+
 WIDTHS = (4, 8, 16, 32, 55, 64, 80, 100, 128, 160, 500)
 FAMILY_WIDTHS = (32, 55, 64, 80, 100, 128)
 POLICIES = ("MaxSysEff", "MinDilation", "RoundRobin", "Priority-MinMax-0.5", "FairShare")
-INSTANCES = (100, 10)
+INSTANCES = (100, 10)  # table 2 uses the first
+EVENTS = 4000  # event budget per run
+REPEATS = 9  # interleaved runs per kernel and cell
 
 #: The rule: the scalar kernel may run at most this much slower per event.
 SLOWDOWN = 1.10
 
 
-def measure(policy: str, n_apps: int, n_instances: int, events: int, repeats: int):
+def measure(policy: str, n_apps: int, n_instances: int):
     """Median µs per event of the (scalar, columnar) kernels on one cell,
     and whether every run of both walked the same timeline."""
-    from engine_bench import cell_horizon, scaling_scenario
-    from repro.online.registry import make_scheduler
-    from repro.simulator import engine
-
     scenario = scaling_scenario(n_apps, n_instances)
-    config = engine.SimulatorConfig(max_time=cell_horizon(scenario, events))
+    config = engine.SimulatorConfig(max_time=cell_horizon(scenario, EVENTS))
     timings: dict[str, list[float]] = {"scalar": [], "columnar": []}
     outcomes = set()
     saved = engine._SCALAR_MAX_APPS
     try:
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             for kernel, crossover in (("scalar", math.inf), ("columnar", 0)):
                 engine._SCALAR_MAX_APPS = crossover
                 scheduler = make_scheduler(policy)
@@ -87,69 +88,31 @@ def crossover_rule(ratios: dict[int, list[float]]) -> int | None:
     return chosen
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--widths", type=int, nargs="+", default=list(WIDTHS),
-                        help="table 1 widths (default: %(default)s)")
-    parser.add_argument("--family-widths", type=int, nargs="+",
-                        default=list(FAMILY_WIDTHS),
-                        help="table 2 widths (default: %(default)s)")
-    parser.add_argument("--policies", nargs="+", default=list(POLICIES),
-                        help="table 2 policies (default: %(default)s)")
-    parser.add_argument("--instances", type=int, nargs="+", default=list(INSTANCES),
-                        help="instance counts of table 1; table 2 uses the "
-                             "first (default: %(default)s)")
-    parser.add_argument("--events", type=int, default=4000,
-                        help="events budget per run (default: %(default)s)")
-    parser.add_argument("--repeats", type=int, default=9,
-                        help="interleaved runs per kernel and cell "
-                             "(default: %(default)s)")
-    args = parser.parse_args(argv)
-    counts = [*args.widths, *args.family_widths, *args.instances, args.events, args.repeats]
-    if min(counts) < 1:
-        print("error: widths, instances, events and repeats must be >= 1",
-              file=sys.stderr)
-        return 2
-    try:
-        from repro.online.registry import make_scheduler
-    except ImportError as exc:  # pragma: no cover - environment guard
-        print(f"cannot import repro ({exc}); run with PYTHONPATH=src", file=sys.stderr)
-        return 2
-    for policy in args.policies:
-        try:
-            make_scheduler(policy)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-
+def main() -> int:
     status = 0
     print("µs per event, MaxSysEff; ratio = columnar / scalar\n")
     header = "| apps |" + "".join(
-        f" × {n} inst: scalar | columnar | ratio |" for n in args.instances
+        f" × {n} inst: scalar | columnar | ratio |" for n in INSTANCES
     )
     print(header)
-    print("|-----:|" + "------:|------:|------:|" * len(args.instances))
-    for width in args.widths:
+    print("|-----:|" + "------:|------:|------:|" * len(INSTANCES))
+    for width in WIDTHS:
         row = f"| {width:4d} |"
-        for n_instances in args.instances:
-            scalar, columnar, same = measure(
-                "MaxSysEff", width, n_instances, args.events, args.repeats
-            )
+        for n_instances in INSTANCES:
+            scalar, columnar, same = measure("MaxSysEff", width, n_instances)
             status |= not same
             row += f" {scalar:5.1f} | {columnar:5.1f} | {columnar / scalar:.2f}x |"
         print(row, flush=True)
 
-    n_instances = args.instances[0]
+    n_instances = INSTANCES[0]
     print(f"\ncolumnar / scalar, {n_instances} instances\n")
-    print("| policy |" + "".join(f" {w} apps |" for w in args.family_widths))
-    print("|--------|" + "--------:|" * len(args.family_widths))
-    ratios: dict[int, list[float]] = {w: [] for w in args.family_widths}
-    for policy in args.policies:
+    print("| policy |" + "".join(f" {w} apps |" for w in FAMILY_WIDTHS))
+    print("|--------|" + "--------:|" * len(FAMILY_WIDTHS))
+    ratios: dict[int, list[float]] = {w: [] for w in FAMILY_WIDTHS}
+    for policy in POLICIES:
         row = f"| {policy} |"
-        for width in args.family_widths:
-            scalar, columnar, same = measure(
-                policy, width, n_instances, args.events, args.repeats
-            )
+        for width in FAMILY_WIDTHS:
+            scalar, columnar, same = measure(policy, width, n_instances)
             status |= not same
             ratios[width].append(columnar / scalar)
             row += f" {columnar / scalar:.2f}x |"

@@ -368,7 +368,6 @@ class Simulator:
         interference = scheduler.interference if fair_alloc else None
         grant = scheduler.grant_order
         starve = grant.starve_below
-        reads_efficiency = grant.reads_efficiency
         started_first = grant.started_first
 
         def column(values, dtype=np.float64):
@@ -613,65 +612,57 @@ class Simulator:
                     granted += r
                 return granted, cand
 
-            # The grant order, compiled once per run: one primary key per
-            # candidate, then a stable sort of the request-ordered queue,
-            # which equals sorted() on the full (primary, request time, name
-            # rank) key because name ranks are unique.
-            def achieved(cand, time):
-                """The candidates' achieved efficiencies, as the reference's
-                views compute them."""
-                return [
-                    executed[i] / el if (el := time - release[i]) > _TIME_EPS
-                    else opt_cur[i]
-                    for i in cand
-                ]
+            # The grant order, compiled once per run into one sort key per
+            # candidate index, then a stable sort of the request-ordered
+            # queue, which equals sorted() on the full (primary, request
+            # time, name rank) key because name ranks are unique.  The keys
+            # that rank on efficiency read it from ``ach``, filled for the
+            # candidates as the reference's views compute it.
+            ach = [0.0] * n
 
-            def ratios(cand, ach):
-                """The candidates' progress ratios by index, as the views
-                compute them."""
-                out = {}
-                for i, a in zip(cand, ach):
-                    opt = opt_cur[i]
-                    ratio = 1.0 if opt <= 0.0 else a / opt
-                    out[i] = 1.0 if ratio > 1.0 else ratio
-                return out
+            def ratio_of(i):
+                """A candidate's progress ratio, as the views compute it."""
+                opt = opt_cur[i]
+                ratio = 1.0 if opt <= 0.0 else ach[i] / opt
+                return 1.0 if ratio > 1.0 else ratio
 
-            # Each GrantOrder key as the candidates' primary keys by index
-            # (None: the queue's own order).
-            primary = {
-                "request": lambda cand, ach: None,
-                "index": lambda cand, ach: range(n),
-                "last_io_end": lambda cand, ach: last_io_end,
-                "ratio": ratios,
-                "syseff": lambda cand, ach: {i: -(procs_f[i] * a) for i, a in zip(cand, ach)},
+            # Each GrantOrder key as (the sort key, whether it reads ach);
+            # None keeps the queue's own order.
+            key, reads_ach = {
+                "request": (None, False),
+                "index": (int, False),
+                "last_io_end": (last_io_end.__getitem__, False),
+                "ratio": (ratio_of, True),
+                "syseff": (lambda i: -(procs_f[i] * ach[i]), True),
             }[grant.key]
+            reads_ach = reads_ach or starve > 0
 
             def favor_order(cand, time):
                 if len(cand) < 2:
                     return cand
-                ach = achieved(cand, time) if reads_efficiency else None
-                head = []
+                if reads_ach:
+                    for i in cand:
+                        el = time - release[i]
+                        ach[i] = executed[i] / el if el > _TIME_EPS else opt_cur[i]
+                ordered = cand
+                starved = None
                 if starve:
                     # The starved (ratio below the threshold) first, by
                     # ratio; the rest by the key.  The threshold is at most
                     # 1, so a ratio below it needs no clamping.
                     starved = {}
-                    rest = []
-                    rest_ach = []
-                    for i, a in zip(cand, ach):
+                    ordered = []
+                    for i in cand:
                         opt = opt_cur[i]
-                        ratio = 1.0 if opt <= 0.0 else a / opt
+                        ratio = 1.0 if opt <= 0.0 else ach[i] / opt
                         if ratio < starve:
                             starved[i] = ratio
                         else:
-                            rest.append(i)
-                            rest_ach.append(a)
-                    head = sorted(starved, key=starved.__getitem__)
-                    cand, ach = rest, rest_ach
-                key = primary(cand, ach)
-                ordered = cand if key is None else sorted(cand, key=key.__getitem__)
-                if head:
-                    ordered = head + ordered
+                            ordered.append(i)
+                if key is not None:
+                    ordered = sorted(ordered, key=key)
+                if starved:
+                    ordered = sorted(starved, key=starved.__getitem__) + ordered
                 if started_first:
                     # Stable partition: applications already transferring
                     # (io_first set, so not NaN and equal to itself) first.
@@ -749,20 +740,22 @@ class Simulator:
                 opt = opt_cur[cand]
                 return np.where(opt <= 0.0, 1.0, np.minimum(1.0, ach / opt))
 
-            # Each GrantOrder key as the candidates' primary-key column.
-            primary = {
-                "request": lambda cand, ach: io_req[cand],
-                "index": lambda cand, ach: cand,
-                "last_io_end": lambda cand, ach: last_io_end[cand],
-                "ratio": ratios,
-                "syseff": lambda cand, ach: -(procs_f[cand] * ach),
+            # Each GrantOrder key as (the candidates' primary-key column
+            # from their achieved efficiencies, whether it reads those).
+            primary, reads_ach = {
+                "request": (lambda cand, ach: io_req[cand], False),
+                "index": (lambda cand, ach: cand, False),
+                "last_io_end": (lambda cand, ach: last_io_end[cand], False),
+                "ratio": (ratios, True),
+                "syseff": (lambda cand, ach: -(procs_f[cand] * ach), True),
             }[grant.key]
+            reads_ach = reads_ach or starve > 0
 
             def favor_order(cand, time):
                 # The whole grant order is one lexsort, least significant
                 # key first.
                 rate[cand] = 0.0
-                ach = achieved(cand, time) if reads_efficiency else None
+                ach = achieved(cand, time) if reads_ach else None
                 key = primary(cand, ach)
                 keys = [name_rank[cand], io_req[cand]]
                 if starve:

@@ -194,11 +194,8 @@ class SystemView:
         return demand > self.available_bandwidth * (1 + 1e-12)
 
 
-#: The primary keys a :class:`GrantOrder` may rank on, each mapped to
-#: whether it reads the candidates' achieved efficiency.
-GRANT_KEYS: dict[str, bool] = {
-    "request": False, "index": False, "last_io_end": False, "ratio": True, "syseff": True,
-}
+#: The primary keys a :class:`GrantOrder` may rank on.
+GRANT_KEYS: tuple[str, ...] = ("request", "index", "last_io_end", "ratio", "syseff")
 
 
 @dataclass(frozen=True)
@@ -230,17 +227,12 @@ class GrantOrder:
     def __post_init__(self) -> None:
         if self.key not in GRANT_KEYS:
             raise ValidationError(f"unknown grant order key {self.key!r}; "
-                                  f"expected one of {sorted(GRANT_KEYS)}")
+                                  f"expected one of {list(GRANT_KEYS)}")
         # Stored as a float, so the kernels compare plain floats.
         starve = check_in_range("starve_below", self.starve_below, 0.0, 1.0)
         object.__setattr__(self, "starve_below", starve)
         if not isinstance(self.started_first, bool):
             raise ValidationError(f"started_first must be a bool, got {self.started_first!r}")
-
-    @property
-    def reads_efficiency(self) -> bool:
-        """True when ranking needs the candidates' achieved efficiency."""
-        return GRANT_KEYS[self.key] or self.starve_below > 0
 
 
 @runtime_checkable

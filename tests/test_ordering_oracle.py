@@ -144,13 +144,6 @@ class TestGrantOrderValidation:
         assert (order.key, order.starve_below, order.started_first) == (
             "request", 0.0, False,
         )
-        assert not order.reads_efficiency
-
-    def test_reads_efficiency(self):
-        assert GrantOrder(key="ratio").reads_efficiency
-        assert GrantOrder(key="syseff").reads_efficiency
-        assert GrantOrder(key="last_io_end", starve_below=0.5).reads_efficiency
-        assert not GrantOrder(key="index", started_first=True).reads_efficiency
 
     @pytest.mark.parametrize(
         "fields",
